@@ -61,17 +61,18 @@ def _utcnow() -> str:
 def _run_phases(wl: WordList, hash_source: str | bytes, rs: RuleSet,
                 gen_opts: GenOptions, algorithm: str, threads: int
                 ) -> tuple[CrackResult, HashStore, CrackResult, HashStore, int]:
-    """Both phases against fresh stores built from the same hash input.
+    """Both phases against fresh stores holding the digests of one parse.
 
     Phase 1 tries the plain words only; phase 2 tries the generated stream.
     Returns (baseline result, baseline store, pattern result, pattern store,
-    pattern candidate count).
+    pattern candidate count). threads has no effect.
     """
     baseline_store = load_hashes(hash_source, algorithm)
-    baseline = crack(baseline_store, base_candidates(wl), threads=threads)
-    pattern_store = load_hashes(hash_source, algorithm)
+    baseline = crack(baseline_store, base_candidates(wl))
+    pattern_store = HashStore(baseline_store.digest_set, algorithm,
+                              raw_count=baseline_store.raw_count)
     stream = generate(wl, rs, gen_opts)
-    pattern = crack(pattern_store, stream, threads=threads)
+    pattern = crack(pattern_store, stream)
     return baseline, baseline_store, pattern, pattern_store, stream.stats.emitted
 
 
@@ -86,7 +87,8 @@ def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet,
     by default it is a strict superset of the baseline run. opts contributes
     the strict_multi/dedup knobs; its include_base is overridden by the
     benchmark design. When potfile_path is given, the pattern phase's
-    recovered entries are written there.
+    recovered entries are written there. threads has no effect; it is only
+    echoed in the report's options.
     """
     opts = opts or GenOptions()
     gen_opts = GenOptions(include_base=not patterns_only,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .bench import format_report_table, run_benchmark
 from .corpus import corpus_stats, load_wordlist_files
-from .cracker import ALGORITHMS, DEFAULT_CHUNK_BYTES, crack
+from .cracker import ALGORITHMS, crack
 from .detector import audit
 from .errors import InputFormatError, LeetforgeError
 from .generator import GenOptions, base_candidates, generate
@@ -23,8 +23,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
-THREADS_ENV = "LEETFORGE_THREADS"
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse flavor whose usage failures exit 1, leaving 2 for bad input data."""
@@ -32,16 +30,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"leetforge: ignoring non-numeric {THREADS_ENV}={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
 
 
 def _load_rules(source: str):
@@ -90,8 +78,7 @@ def cmd_crack(args) -> int:
         opts = GenOptions(include_base=not args.patterns_only,
                           strict_multi=args.strict_multi, dedup=not args.no_dedup)
         candidates = generate(wl, rs, opts)
-    result = crack(store, candidates, algorithm=args.algorithm,
-                   threads=args.threads, chunk_bytes=args.chunk_kib * 1024)
+    result = crack(store, candidates, algorithm=args.algorithm)
     if args.potfile:
         Path(args.potfile).write_text(format_potfile(store), encoding="utf-8")
     if args.json:
@@ -127,7 +114,7 @@ def cmd_bench(args) -> int:
         wl, Path(args.hashes).read_bytes(), rs,
         GenOptions(strict_multi=args.strict_multi, dedup=not args.no_dedup),
         patterns_only=args.patterns_only, algorithm=args.algorithm,
-        threads=args.threads, ruleset_name=args.rules, potfile_path=args.potfile)
+        ruleset_name=args.rules, potfile_path=args.potfile)
     doc = json.dumps(report.to_dict(), indent=2)
     print(doc)
     if args.json:
@@ -171,11 +158,9 @@ def _add_rules_arg(p):
                    help="rule file, or 'builtin' for the canonical set (default)")
 
 
-def _add_crack_args(p):
+def _add_algorithm_arg(p):
     p.add_argument("-a", "--algorithm", choices=sorted(ALGORITHMS), default="md5",
                    help="digest algorithm (default md5)")
-    p.add_argument("-t", "--threads", type=int, default=_default_threads(),
-                   help=f"worker threads (default: {THREADS_ENV} or cpu count)")
 
 
 def _add_gen_toggles(p):
@@ -211,9 +196,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--patterns-only", action="store_true",
                    help="try only the mangles, not the base words")
     _add_gen_toggles(p)
-    _add_crack_args(p)
-    p.add_argument("--chunk-kib", type=int, default=DEFAULT_CHUNK_BYTES // 1024,
-                   help="candidate text per work unit (default 64)")
+    _add_algorithm_arg(p)
     p.add_argument("--potfile", metavar="FILE", help="write recovered digest:plaintext lines here")
     p.add_argument("--json", action="store_true", help="print a JSON summary instead of matches")
     p.set_defaults(func=cmd_crack)
@@ -234,7 +217,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--patterns-only", action="store_true",
                    help="pattern phase tries only the mangles")
     _add_gen_toggles(p)
-    _add_crack_args(p)
+    _add_algorithm_arg(p)
     p.add_argument("--json", metavar="FILE", help="also write the JSON report here")
     p.add_argument("--potfile", metavar="FILE",
                    help="write the pattern phase's recoveries here")
@@ -268,7 +251,16 @@ def main(argv=None) -> int:
         print(f"{parser.prog}: error: a command is required", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`): the output is over, the run is not
+        # at fault. Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

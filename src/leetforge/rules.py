@@ -94,6 +94,13 @@ class ReplacementRule:
             object.__setattr__(self, "pairs", tuple(self.pairs))
         if not 1 <= len(self.pairs) <= 3:
             raise ValueError(f"rule {self.id!r} must carry 1-3 pairs, got {len(self.pairs)}")
+        if self.case_insensitive:
+            for p in self.pairs:
+                if len(p.source.swapcase()) != 1:
+                    raise ValueError(
+                        f"rule {self.id!r}: source {p.source!r} swaps case to "
+                        f"{p.source.swapcase()!r}, not one character; mark the rule "
+                        f"{CASE_SENSITIVE_FLAG!r}")
         sources = [p.source.lower() if self.case_insensitive else p.source for p in self.pairs]
         if len(set(sources)) != len(sources):
             raise ValueError(f"rule {self.id!r} repeats a source character")

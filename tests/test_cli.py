@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leetforge
 from leetforge.cli import main
 from synthetic import planted_corpus
 
@@ -65,6 +70,24 @@ def test_malformed_rule_file_is_input_error(capsys, tmp_path, wordfile):
     assert "line 1" in err
 
 
+def test_uncaseable_rule_source_is_input_error(capsys, tmp_path, wordfile):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("X\t\u00df>s\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "gen", "-w", wordfile, "-r", rules)
+    assert code == 2
+    assert out == ""
+    assert "line 1" in err
+
+
+@pytest.mark.parametrize("flag", [["-t", "2"], ["--chunk-kib", "8"]])
+def test_removed_crack_knobs_are_usage_errors(capsys, tmp_path, wordfile, flag):
+    hashes = tmp_path / "h.txt"
+    hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n")
+    code, out, _ = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile, *flag)
+    assert code == 1
+    assert out == ""
+
+
 def test_gen_writes_candidates_to_stdout(capsys, wordfile):
     code, out, err = run_cli(capsys, "gen", "-w", wordfile)
     assert code == 0
@@ -105,6 +128,24 @@ def test_gen_output_provenance_and_stats(capsys, tmp_path, wordfile):
     assert stats["by_arity"]["base"] == 0
 
 
+def test_gen_into_closed_pipe_exits_quietly(tmp_path):
+    # `leetforge gen ... | head -1`: the reader leaves after one line while most
+    # of the output (far more than one pipe buffer) is still unwritten.
+    words = tmp_path / "w.txt"
+    words.write_text("".join(f"password{i}\n" for i in range(5000)))
+    src = str(Path(leetforge.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "leetforge.cli", "gen", "-w", str(words)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.strip()
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_crack_end_to_end(capsys, tmp_path, wordfile):
     hashes = tmp_path / "hashes.txt"
     target = hashlib.md5(b"p@ssw0rd").hexdigest()
@@ -112,7 +153,7 @@ def test_crack_end_to_end(capsys, tmp_path, wordfile):
     hashes.write_text(f"{target}\n{decoy}\n")
     pot = tmp_path / "out.pot"
     code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile,
-                             "--potfile", pot, "-t", "2")
+                             "--potfile", pot)
     assert code == 0
     assert out == f"{target}:p@ssw0rd\n"
     assert pot.read_text() == f"{target}:p@ssw0rd\n"
@@ -200,14 +241,13 @@ def test_stats_table_and_json(capsys, tmp_path):
     assert doc["sources"][0] == {"name": "a.txt", "words": 2}
 
 
-def test_bench_end_to_end(capsys, tmp_path, monkeypatch):
+def test_bench_end_to_end(capsys, tmp_path):
     words, hash_text, _, _ = planted_corpus(100, 10, 10)
     wordlist = tmp_path / "w.txt"
     wordlist.write_text("\n".join(words) + "\n")
     hashes = tmp_path / "h.txt"
     hashes.write_text(hash_text)
     report_file = tmp_path / "report.json"
-    monkeypatch.setenv("LEETFORGE_THREADS", "2")
     code, out, err = run_cli(capsys, "bench", "-w", wordlist, "--hashes", hashes,
                              "--json", report_file, "--table")
     assert code == 0
@@ -215,18 +255,9 @@ def test_bench_end_to_end(capsys, tmp_path, monkeypatch):
     assert doc["baseline_recovered"] == 10
     assert doc["pattern_recovered"] == 20
     assert doc["uplift_percent"] == "100.0"
-    assert doc["options"]["threads"] == 2
+    assert doc["options"]["threads"] == 1
     assert json.loads(report_file.read_text()) == doc
     assert "uplift" in err
-
-
-def test_threads_env_must_be_numeric(capsys, tmp_path, monkeypatch, wordfile):
-    monkeypatch.setenv("LEETFORGE_THREADS", "lots")
-    hashes = tmp_path / "h.txt"
-    hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n")
-    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile)
-    assert code == 0  # falls back to cpu count with a warning
-    assert "LEETFORGE_THREADS" in err
 
 
 def test_version_flag(capsys):

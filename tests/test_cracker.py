@@ -1,4 +1,4 @@
-"""Digest computation and the chunked matching engine."""
+"""Digest computation and the matching engine."""
 
 from __future__ import annotations
 

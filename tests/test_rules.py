@@ -134,6 +134,14 @@ def test_serialize_examples():
     assert serialize_rules(RuleSet(())) == ""
 
 
+@pytest.mark.parametrize("source", ["\u00df", "\u0130"])  # ß -> "SS", İ -> "i̇"
+def test_parse_rejects_source_without_single_char_case(source):
+    with pytest.raises(RuleParseError, match="line 1"):
+        parse_rules(f"X\t{source}>s\n")
+    rs = parse_rules(f"X\t{source}>s\tcs\n")
+    assert apply_rule(f"a{source}", rs[0]) == "as"
+
+
 def test_roundtrip_random_rulesets():
     rng = random.Random(0x5EED)
     symbols = "0123456789@$!;,.?#%&"
