@@ -47,6 +47,13 @@ def _open_out(path: str | None):
 def cmd_gen(args) -> int:
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
+    if args.provenance:
+        # checked before any output is opened, so a refused run leaves no files
+        for word in wl.words:
+            if "\t" in word:
+                raise InputFormatError(
+                    f"word {word!r} contains a TAB, which --provenance uses "
+                    f"as its field separator")
     opts = GenOptions(include_base=args.include_base,
                       strict_multi=args.strict_multi, dedup=not args.no_dedup)
     stream = generate(wl, rs, opts)

@@ -76,40 +76,53 @@ class CandidateStream:
 
 def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
                 stats: GenStats) -> Iterator[CandidateRecord]:
-    seen: set[str] | None = set() if opts.dedup else None
+    # Dedup keys are the candidates' UTF-8 bytes ("surrogatepass" keeps lone
+    # surrogates encodable); the encoding is one-to-one, so it dedups exactly
+    # as the strings would, in less memory per entry.
+    seen: set[bytes] | None = set() if opts.dedup else None
     if opts.include_base:
         for word in wl.words:
             if seen is not None:
-                if word in seen:
+                wb = word.encode("utf-8", "surrogatepass")
+                if wb in seen:
                     stats.suppressed_duplicates += 1
                     continue
-                seen.add(word)
+                seen.add(wb)
             stats.emitted += 1
             stats.by_arity["base"] += 1
             yield CandidateRecord(word, word, BASE_RULE_ID)
-    # flattened per-rule data keeps the inner loop free of attribute lookups
-    compiled = [(r.id, r.arity, r.source_chars, r.translation, r) for r in rs]
-    strict = opts.strict_multi
+    # flattened per-rule data keeps the inner loop free of attribute lookups;
+    # the last field is the rule only when strict_multi can drop its output
+    compiled = [(r.id, r.arity, r.byte_table, r.translation,
+                 r if opts.strict_multi and len(r.pairs) > 1 else None) for r in rs]
     by_arity = stats.by_arity
+    new = tuple.__new__   # builds a CandidateRecord without NamedTuple.__new__'s call overhead
     for word in wl.words:
-        chars = set(word)
-        for rule_id, arity, sources, table, rule in compiled:
-            # screen: a rule with no source char present cannot change the word
-            if chars.isdisjoint(sources):
+        wb = word.encode("utf-8", "surrogatepass")
+        for rule_id, arity, byte_table, table, strict_rule in compiled:
+            if strict_rule is not None and not strict_rule.sources_present(word):
                 continue
-            if strict and len(rule.pairs) > 1 and not rule.sources_present(word):
-                continue
-            out = word.translate(table)
-            if out == word:
-                continue
+            if byte_table is not None:
+                # ASCII pairs never touch a byte of a multi-byte UTF-8 sequence
+                ob = wb.translate(byte_table)
+                if ob == wb:
+                    continue
+                out = None
+            else:
+                out = word.translate(table)
+                if out == word:
+                    continue
+                ob = out.encode("utf-8", "surrogatepass")
             if seen is not None:
-                if out in seen:
+                if ob in seen:
                     stats.suppressed_duplicates += 1
                     continue
-                seen.add(out)
+                seen.add(ob)
             stats.emitted += 1
             by_arity[arity] += 1
-            yield CandidateRecord(out, word, rule_id)
+            if out is None:
+                out = ob.decode("utf-8", "surrogatepass")
+            yield new(CandidateRecord, (out, word, rule_id))
 
 
 def generate(wl: WordList, rs: RuleSet,

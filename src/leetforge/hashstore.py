@@ -76,8 +76,9 @@ class HashStore:
 def load_hashes(text: str | bytes, algorithm: str = "md5") -> HashStore:
     """Parse one hex digest per line (either case), dropping duplicates.
 
-    raw_count keeps the number of non-blank lines seen; malformed lines raise
-    HashFormatError with their line number.
+    Lines end at "\n" only, as in word lists; surrounding whitespace (a CR
+    included) is stripped. raw_count keeps the number of non-blank lines seen;
+    malformed lines raise HashFormatError with their line number.
     """
     width = digest_size(algorithm)
     if isinstance(text, bytes):
@@ -87,7 +88,7 @@ def load_hashes(text: str | bytes, algorithm: str = "md5") -> HashStore:
             raise HashFormatError(f"not valid UTF-8: {exc}") from None
     digests: set[bytes] = set()
     raw_count = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line:
             continue

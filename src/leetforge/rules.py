@@ -77,6 +77,11 @@ class CharPair:
             raise ValueError(f"replacement must differ from source ({self.source!r})")
 
 
+def _claimed(pair: CharPair, case_insensitive: bool) -> set[str]:
+    """The characters a pair replaces: its source, plus the other case if insensitive."""
+    return {pair.source, pair.source.swapcase()} if case_insensitive else {pair.source}
+
+
 @dataclass(frozen=True)
 class ReplacementRule:
     """An ordered set of 1-3 pairs applied simultaneously to a word.
@@ -101,9 +106,14 @@ class ReplacementRule:
                         f"rule {self.id!r}: source {p.source!r} swaps case to "
                         f"{p.source.swapcase()!r}, not one character; mark the rule "
                         f"{CASE_SENSITIVE_FLAG!r}")
-        sources = [p.source.lower() if self.case_insensitive else p.source for p in self.pairs]
-        if len(set(sources)) != len(sources):
-            raise ValueError(f"rule {self.id!r} repeats a source character")
+        # No character may be claimed by two pairs: with case_insensitive
+        # both i>1 and ı>! would claim "I" (ı swaps case to I).
+        claimed: set[str] = set()
+        for p in self.pairs:
+            chars = _claimed(p, self.case_insensitive)
+            if chars & claimed:
+                raise ValueError(f"rule {self.id!r} repeats a source character")
+            claimed |= chars
 
     @property
     def arity(self) -> str:
@@ -125,12 +135,18 @@ class ReplacementRule:
         return {ord(p.replacement): p.source.lower() for p in self.pairs}
 
     @cached_property
-    def source_chars(self) -> frozenset[str]:
-        """Every character the rule can replace (both cases when insensitive)."""
-        chars = {p.source for p in self.pairs}
-        if self.case_insensitive:
-            chars |= {p.source.swapcase() for p in self.pairs}
-        return frozenset(chars)
+    def byte_table(self) -> bytes | None:
+        """bytes.translate table doing translation's work on UTF-8 text.
+
+        None when any source or replacement is non-ASCII: only ASCII pairs map
+        one byte to one byte without touching multi-byte sequences.
+        """
+        table = bytearray(range(256))
+        for code, replacement in self.translation.items():
+            if code > 0x7F or ord(replacement) > 0x7F:
+                return None
+            table[code] = ord(replacement)
+        return bytes(table)
 
     def sources_present(self, word: str) -> bool:
         """True when every source character occurs in word (any case if insensitive)."""
@@ -302,18 +318,47 @@ def _token_char_ok(ch: str) -> bool:
     return "!" <= ch <= "~"
 
 
+def _replay_order(rule: ReplacementRule) -> list[CharPair]:
+    """The rule's pairs ordered so that replaying them one after another never
+    rewrites an earlier pair's replacement.
+
+    A pair must come before every other pair whose replacement is one of its
+    sources (both cases when case-insensitive). Among pairs free to go, the
+    earliest in the rule goes first, so unchained rules keep their order.
+    Raises ExportError when the pairs chain into a cycle such as a>b,b>a.
+    """
+    pending = list(rule.pairs)
+    ordered: list[CharPair] = []
+    while pending:
+        for p in pending:
+            # p may go once no other pending pair still has p's replacement as a source
+            if not any(p.replacement in _claimed(q, rule.case_insensitive)
+                       for q in pending if q is not p):
+                break
+        else:
+            chain = ",".join(f"{p.source}>{p.replacement}" for p in pending)
+            raise ExportError(
+                f"rule {rule.id!r}: pairs {chain} chain into a cycle; "
+                f"no token order replays them")
+        pending.remove(p)
+        ordered.append(p)
+    return ordered
+
+
 def export_hashcat(rs: RuleSet) -> str:
     """Render each rule as one line of hashcat substitute tokens.
 
-    A pair x>y becomes the token `sxy`. Case-insensitive rules also emit the
-    swapped-case source variant (`sxy sXy`); applying the tokens of a line in
-    order reproduces apply_rule for that rule, because no builtin replacement
-    character is another pair's source.
+    A pair x>y becomes the token `sxy`; a case-insensitive rule also emits the
+    swapped-case source variant (`sxy sXy`). Tokens replay one after another,
+    while apply_rule replaces all pairs at once, so a line orders its pairs to
+    make the replay agree: a pair whose source is another pair's replacement
+    (a>b,b>c) goes first. A rule whose pairs form a cycle (a>b,b>a) has no
+    such order and raises ExportError, as does a character with no token form.
     """
     lines = []
     for rule in rs:
         tokens = []
-        for p in rule.pairs:
+        for p in _replay_order(rule):
             for ch in (p.source, p.replacement):
                 if not _token_char_ok(ch):
                     raise ExportError(

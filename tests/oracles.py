@@ -78,6 +78,35 @@ def brute_force_candidates(words, rules, include_base=False, strict_multi=False)
     return out
 
 
+def generate_reference(words, rules, include_base=False, strict_multi=False, dedup=True):
+    """Ordered, first-wins enumeration with generate()'s stream contract.
+
+    Base words (with include_base) come first, then every word through every
+    rule in order; with dedup a candidate already emitted is counted as
+    suppressed. Returns the (candidate, base, rule_id) tuples and the counts
+    in GenStats.to_dict() form.
+    """
+    arity_names = {1: "single", 2: "dual", 3: "triad"}
+    records, seen, suppressed = [], set(), 0
+    by_arity = {"base": 0, "single": 0, "dual": 0, "triad": 0}
+    offers = [(word, word, "BASE", "base") for word in words] if include_base else []
+    for word in words:
+        for rule in rules:
+            mangled = mangle_reference(word, rule, strict_multi=strict_multi)
+            if mangled is not None:
+                offers.append((mangled, word, rule.id, arity_names[len(rule.pairs)]))
+    for candidate, base, rule_id, arity in offers:
+        if dedup and candidate in seen:
+            suppressed += 1
+            continue
+        seen.add(candidate)
+        records.append((candidate, base, rule_id))
+        by_arity[arity] += 1
+    counts = {"emitted": len(records), "emitted_mangled": len(records) - by_arity["base"],
+              "suppressed_duplicates": suppressed, "by_arity": by_arity}
+    return records, counts
+
+
 def simulate_hashcat_line(line: str, word: str) -> str:
     """Replay substitute tokens the way the external engine does: replace-all,
     one token at a time, left to right."""

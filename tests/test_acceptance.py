@@ -271,9 +271,8 @@ def test_throughput_informational():
     wl = WordList.from_words(words)
     hs = load_hashes(hash_text)
     records = list(generate(wl, RS, GenOptions(include_base=True)))
-    threads = 4
-    result = crack(hs, records, threads=threads)
+    result = crack(hs, records)
     assert result.throughput > 0
     _report("throughput",
             f"{result.throughput:,.0f} MD5 candidates/s over {result.attempted} "
-            f"candidates with {threads} threads (informational)")
+            f"candidates (informational)")

@@ -128,6 +128,22 @@ def test_gen_output_provenance_and_stats(capsys, tmp_path, wordfile):
     assert stats["by_arity"]["base"] == 0
 
 
+def test_gen_provenance_refuses_word_with_tab(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("password\npass\tword\n")
+    out_file, prov_file = tmp_path / "cands.txt", tmp_path / "prov.tsv"
+    code, out, err = run_cli(capsys, "gen", "-w", words, "-o", out_file,
+                             "--provenance", prov_file)
+    assert code == 2
+    assert out == ""
+    assert "'pass\\tword'" in err
+    assert not out_file.exists() and not prov_file.exists()
+    # without --provenance the word is an ordinary candidate
+    code, out, _ = run_cli(capsys, "gen", "-w", words, "--include-base")
+    assert code == 0
+    assert "pass\tword\n" in out
+
+
 def test_gen_into_closed_pipe_exits_quietly(tmp_path):
     # `leetforge gen ... | head -1`: the reader leaves after one line while most
     # of the output (far more than one pipe buffer) is still unwritten.

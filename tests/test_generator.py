@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 
-from leetforge import (BASE_RULE_ID, GenOptions, WordList, apply_rule,
-                       builtin_rules, count_candidates, generate, parse_rules)
-from oracles import brute_force_candidates, mangle_reference
+from leetforge import (BASE_RULE_ID, CharPair, GenOptions, ReplacementRule, RuleSet,
+                       WordList, apply_rule, builtin_rules, count_candidates, generate,
+                       parse_rules)
+from oracles import brute_force_candidates, generate_reference, mangle_reference
 
 RS = builtin_rules()
 
@@ -186,6 +188,43 @@ def test_apply_agrees_with_reference_everywhere():
         rule = RS[rng.randrange(len(RS))]
         strict = rng.random() < 0.5
         assert apply_rule(word, rule, strict) == mangle_reference(word, rule, strict)
+
+
+def _random_mixed_rules(rng, n):
+    """n rules mixing ASCII and non-ASCII pairs, case-insensitive and cs."""
+    sources = "aeiosAEIOS" + "\u00e9\u00e4\u00c9\u00f1\u0131"   # é ä É ñ ı (ı swapcases to I)
+    replacements = "0134@$" + "\u00e4\u00e9\u20ac"
+    rules = []
+    while len(rules) < n:
+        try:
+            pairs = tuple(CharPair(s, rng.choice(replacements))
+                          for s in rng.sample(sources, rng.randint(1, 3)))
+            rules.append(ReplacementRule(f"U{len(rules)}", pairs,
+                                         case_insensitive=rng.random() < 0.6))
+        except ValueError:   # source == replacement, or a repeated source
+            continue
+    return RuleSet(tuple(rules))
+
+
+def test_generate_matches_ordered_reference_on_mixed_rules():
+    rng = random.Random(14)
+    alphabet = "aeiosAEIOS" + "xyz" + "\u00e9\u00c9\u00e4\u00c4\u00f1\u0131" + "03@" + "\U0001f600"
+    paths = set()
+    for _ in range(40):
+        rs = _random_mixed_rules(rng, rng.randint(1, 8))
+        paths |= {r.byte_table is None for r in rs}
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+                 for _ in range(rng.randint(1, 20))]
+        words.append("s\udc80e")   # a lone surrogate, as WordList.from_words allows
+        wl = WordList.from_words(words)
+        for include_base, strict, dedup in itertools.product((False, True), repeat=3):
+            opts = GenOptions(include_base=include_base, strict_multi=strict, dedup=dedup)
+            records, stats = _records(wl, rs, opts)
+            expected, counts = generate_reference(wl.words, rs, include_base=include_base,
+                                                  strict_multi=strict, dedup=dedup)
+            assert [tuple(r) for r in records] == expected
+            assert stats.to_dict() == counts
+    assert paths == {False, True}   # both the byte-table and the str branch ran
 
 
 def test_count_candidates_matches_generate():

@@ -44,6 +44,14 @@ def test_load_rejects_bad_lines_with_line_number():
         load_hashes("g" * 32 + "\n")  # right width, not hex
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_load_splits_lines_on_newline_only(sep):
+    # str.splitlines would break here and load two digests
+    with pytest.raises(HashFormatError, match="line 2"):
+        load_hashes(f"{H_CAT}\n{H_CAT}{sep}{H_DOG}\n")
+    assert load_hashes(f"{H_CAT}\r\n{H_DOG}\r\n").raw_count == 2
+
+
 def test_load_other_algorithms():
     sha = hashlib.sha256(b"cat").hexdigest()
     hs = load_hashes(sha + "\n", algorithm="sha256")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 
@@ -76,6 +77,10 @@ def test_rule_validation():
         ReplacementRule("X", (CharPair("a", "@"), CharPair("A", "4")))
     # but fine when the rule is case-sensitive
     ReplacementRule("X", (CharPair("a", "@"), CharPair("A", "4")), case_insensitive=False)
+    # dotless ı swaps case to I, which i also claims
+    with pytest.raises(ValueError, match="repeats"):
+        ReplacementRule("X", (CharPair("i", "1"), CharPair("\u0131", "!")))
+    ReplacementRule("X", (CharPair("i", "1"), CharPair("\u0131", "!")), case_insensitive=False)
     with pytest.raises(ValueError):
         ReplacementRule("X", ())
     with pytest.raises(ValueError):
@@ -200,3 +205,60 @@ def test_export_matches_apply_rule_quick():
         for rule, line in zip(rs, lines):
             expected = apply_rule(word, rule)
             assert simulate_hashcat_line(line, word) == (expected or word)
+
+
+def _replay_line(pairs, case_insensitive):
+    """Substitute tokens for the pairs in the given order, one line."""
+    tokens = []
+    for p in pairs:
+        tokens.append(f"s{p.source}{p.replacement}")
+        if case_insensitive and p.source.swapcase() != p.source:
+            tokens.append(f"s{p.source.swapcase()}{p.replacement}")
+    return " ".join(tokens)
+
+
+def test_export_orders_chained_pairs():
+    rs = parse_rules("X\ta>b,b>c\n")
+    line = export_hashcat(rs).rstrip("\n")
+    assert line == "sbc sBc sab sAb"
+    assert simulate_hashcat_line(line, "ab") == apply_rule("ab", rs[0]) == "bc"
+    assert export_hashcat(parse_rules("X\ta>A\n")) == "saA sAA\n"   # a pair never waits on itself
+    with pytest.raises(ExportError, match="cycle"):
+        export_hashcat(parse_rules("X\ta>b,b>a\n"))
+    with pytest.raises(ExportError, match="cycle"):
+        export_hashcat(parse_rules("X\ta>B,b>A\n"))   # the cycle runs through the upper cases
+
+
+def test_export_replays_random_chained_rules():
+    # A small alphabet makes one pair's replacement another pair's source often.
+    rng = random.Random(0xC4A1)
+    alphabet = "abcAB01"
+    exportable, refused = [], 0
+    while len(exportable) < 300:
+        try:
+            pairs = tuple(CharPair(s, rng.choice(alphabet))
+                          for s in rng.sample(alphabet, rng.randint(1, 3)))
+            rule = ReplacementRule(f"U{len(exportable)}", pairs,
+                                   case_insensitive=rng.random() < 0.5)
+        except ValueError:   # source == replacement, or a repeated source
+            continue
+        try:
+            export_hashcat(RuleSet((rule,)))
+        except ExportError:
+            refused += 1
+            # refused only when no order of the pairs replays a word holding
+            # every source character in both cases
+            witness = "".join(sorted({c for p in pairs for c in (p.source, p.source.swapcase())}))
+            expected = apply_rule(witness, rule) or witness
+            for order in itertools.permutations(pairs):
+                line = _replay_line(order, rule.case_insensitive)
+                assert simulate_hashcat_line(line, witness) != expected
+            continue
+        exportable.append(rule)
+    assert refused > 5
+    rs = RuleSet(tuple(exportable))
+    lines = export_hashcat(rs).splitlines()
+    for _ in range(100):
+        word = "".join(rng.choice(alphabet + "xyz") for _ in range(rng.randint(0, 10)))
+        for rule, line in zip(rs, lines):
+            assert simulate_hashcat_line(line, word) == (apply_rule(word, rule) or word)
