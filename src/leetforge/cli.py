@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .bench import format_report_table, run_benchmark
-from .corpus import corpus_stats, load_wordlist_files
+from .corpus import corpus_stats, load_wordlist_files, read_lines
 from .cracker import ALGORITHMS, crack
 from .detector import audit
 from .errors import InputFormatError, LeetforgeError
@@ -35,7 +35,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _load_rules(source: str):
     if source == "builtin":
         return builtin_rules()
-    return parse_rules(Path(source).read_text(encoding="utf-8"))
+    return parse_rules(Path(source).read_bytes())
 
 
 def _open_out(path: str | None):
@@ -104,7 +104,8 @@ def cmd_detect(args) -> int:
     dictionary = load_wordlist_files([args.dict])
     passwords = list(args.password or [])
     if args.stdin:
-        passwords += [line.rstrip("\r\n") for line in sys.stdin if line.strip()]
+        passwords += [line.rstrip("\r") for line in read_lines("stdin", sys.stdin.buffer.read())
+                      if line.strip()]
     if not passwords:
         print("leetforge detect: no passwords given "
               "(use --password or --stdin)", file=sys.stderr)
@@ -132,7 +133,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_rules(args) -> int:
-    rs = builtin_rules() if args.builtin or args.rules is None else _load_rules(args.rules)
+    rs = _load_rules(args.rules)
     sys.stdout.write(serialize_rules(rs) if args.format == "native" else export_hashcat(rs))
     return EXIT_OK
 
@@ -233,8 +234,7 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-rules", help="print rules in an external format")
-    p.add_argument("-r", "--rules", metavar="FILE", help="rule file to export")
-    p.add_argument("--builtin", action="store_true", help="export the builtin set (default)")
+    _add_rules_arg(p)
     p.add_argument("--format", choices=("hashcat", "native"), default="hashcat",
                    help="output syntax (default hashcat)")
     p.set_defaults(func=cmd_export_rules)
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LeetforgeError as exc:

@@ -40,53 +40,41 @@ class WordList:
     @classmethod
     def from_words(cls, words: Iterable[str], source: str = "memory") -> "WordList":
         """Build a list from in-memory words under the same dedup/blank rules."""
-        seen: set[str] = set()
-        kept: list[str] = []
-        raw = 0
-        for word in words:
-            raw += 1
-            if not word or word in seen:
-                continue
-            seen.add(word)
-            kept.append(word)
-        return cls(tuple(kept), ((source, raw),))
+        words = list(words)
+        return cls(tuple(dict.fromkeys(w for w in words if w)), ((source, len(words)),))
 
 
-def _iter_lines(name: str, data: str | bytes) -> Iterator[str]:
+def read_lines(source: str, data: str | bytes) -> list[str]:
+    r"""Decode bytes as UTF-8 once and split at "\n" only (not at \x0b, \x85, ...).
+
+    A leading BOM is dropped; invalid UTF-8 raises WordlistDecodeError with the
+    line number. Lines keep their CRs: each caller applies its own line rule.
+    """
     if isinstance(data, bytes):
-        for lineno, raw in enumerate(data.split(b"\n"), 1):
-            raw = raw.rstrip(b"\r")
-            if not raw:
-                continue
-            try:
-                yield raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise WordlistDecodeError(name, lineno) from None
-    else:
-        for raw in data.split("\n"):
-            line = raw.rstrip("\r")
-            if line:
-                yield line
+        # plain UTF-8, not utf-8-sig: a BOM decodes to U+FEFF and offsets stay byte offsets
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WordlistDecodeError(source, data.count(b"\n", 0, exc.start) + 1) from None
+    return data.removeprefix("\ufeff").split("\n")
 
 
 def load_wordlists(inputs: Iterable[tuple[str, str | bytes]]) -> WordList:
     """Concatenate one-word-per-line sources with cross-source first-occurrence dedup.
 
-    Per-source raw counts are taken before dedup. Trailing CR/LF is stripped,
-    blank lines are skipped, and any other whitespace is kept verbatim. Bytes
-    input must be valid UTF-8; failures report the source name and line number.
+    Per-source raw counts are taken before dedup. Lines come from read_lines;
+    trailing CRs are stripped, blank lines are skipped, and any other
+    whitespace is kept verbatim.
     """
-    seen: set[str] = set()
-    words: list[str] = []
+    words: dict[str, None] = {}  # insertion-ordered set: first occurrence wins
     sources: list[tuple[str, int]] = []
     for name, data in inputs:
         count = 0
-        for word in _iter_lines(name, data):
-            count += 1
-            if word in seen:
-                continue
-            seen.add(word)
-            words.append(word)
+        for line in read_lines(name, data):
+            word = line.rstrip("\r")
+            if word:
+                count += 1
+                words[word] = None
         sources.append((name, count))
     return WordList(tuple(words), tuple(sources))
 

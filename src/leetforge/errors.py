@@ -10,13 +10,15 @@ class LeetforgeError(Exception):
 class InputFormatError(LeetforgeError):
     """Malformed user-supplied input: rule files, wordlists, hash lists."""
 
-
-class RuleParseError(InputFormatError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class RuleParseError(InputFormatError):
+    """A rule file line that does not parse into a valid rule."""
 
 
 class ExportError(InputFormatError):
@@ -24,6 +26,8 @@ class ExportError(InputFormatError):
 
 
 class WordlistDecodeError(InputFormatError):
+    """Text input (word list, digest list, rule file, stdin) that is not UTF-8."""
+
     def __init__(self, source: str, line: int, message: str = "invalid UTF-8"):
         super().__init__(f"{source}, line {line}: {message}")
         self.source = source
@@ -31,11 +35,7 @@ class WordlistDecodeError(InputFormatError):
 
 
 class HashFormatError(InputFormatError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """A digest list line that is not one hex digest of the expected width."""
 
 
 class UnknownAlgorithmError(InputFormatError):

@@ -6,6 +6,7 @@ import threading
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .corpus import read_lines
 from .cracker import digest_of, digest_size
 from .errors import HashFormatError, HashStoreError
 
@@ -76,19 +77,14 @@ class HashStore:
 def load_hashes(text: str | bytes, algorithm: str = "md5") -> HashStore:
     """Parse one hex digest per line (either case), dropping duplicates.
 
-    Lines end at "\n" only, as in word lists; surrounding whitespace (a CR
-    included) is stripped. raw_count keeps the number of non-blank lines seen;
-    malformed lines raise HashFormatError with their line number.
+    Lines are split by read_lines, as word lists are; surrounding whitespace
+    (a CR included) is stripped. raw_count keeps the number of non-blank lines
+    seen; malformed lines raise HashFormatError with their line number.
     """
     width = digest_size(algorithm)
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise HashFormatError(f"not valid UTF-8: {exc}") from None
     digests: set[bytes] = set()
     raw_count = 0
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    for lineno, raw in enumerate(read_lines("digest list", text), 1):
         line = raw.strip()
         if not line:
             continue

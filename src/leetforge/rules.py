@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
+from .corpus import read_lines
 from .errors import ExportError, RuleParseError
 
 ARITY_NAMES = {1: "single", 2: "dual", 3: "triad"}
@@ -247,18 +248,18 @@ def _split_pairs(field: str, lineno: int) -> list[str]:
     return [field[i:i + 3] for i in range(0, len(field), 4)]
 
 
-def parse_rules(text: str) -> RuleSet:
+def parse_rules(text: str | bytes) -> RuleSet:
     """Parse the line-oriented rule format.
 
-    A rule line is `<ID><TAB><pair>{,<pair>}` where a pair is the three
-    characters `<source>><replacement>`; an optional trailing `<TAB>cs` field
-    marks the rule case-sensitive. Lines starting with '#' are comments and
-    blank lines are skipped. A line without an ID field (no TAB at all) gets
-    an id generated from its position, `R<n>`.
+    Lines come from read_lines, trailing CRs stripped. A rule line is
+    `<ID><TAB><pair>{,<pair>}` (a pair is the three characters
+    `<source>><replacement>`), optionally followed by `<TAB>cs` for a
+    case-sensitive rule. '#' lines are comments and blank lines are skipped;
+    a line with no TAB (no ID field) gets an id from its position, `R<n>`.
     """
     rules: list[ReplacementRule] = []
     seen_ids: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_lines("rule file", text), 1):
         line = raw.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -301,14 +302,26 @@ def parse_rules(text: str) -> RuleSet:
 
 
 def serialize_rules(rs: RuleSet) -> str:
-    """Inverse of parse_rules: parse_rules(serialize_rules(rs)) == rs."""
+    """Inverse of parse_rules: parse_rules(serialize_rules(rs)) == rs.
+
+    Each line is parsed back as it is written; a rule it does not replay (a
+    TAB, CR or LF in an id or pair, an id blank or starting with '#') raises
+    ExportError.
+    """
     lines = []
     for rule in rs:
         pair_field = ",".join(f"{p.source}>{p.replacement}" for p in rule.pairs)
         line = f"{rule.id}\t{pair_field}"
         if not rule.case_insensitive:
             line += f"\t{CASE_SENSITIVE_FLAG}"
-        lines.append(line + "\n")
+        line += "\n"
+        try:
+            replayed = parse_rules(line).rules
+        except RuleParseError:
+            replayed = None
+        if replayed != (rule,):
+            raise ExportError(f"rule {rule.id!r}: native line {line!r} does not parse back")
+        lines.append(line)
     return "".join(lines)
 
 

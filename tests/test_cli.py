@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -27,6 +28,13 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_env():
+    """The environment for running `python -m leetforge.cli` from this checkout."""
+    src = str(Path(leetforge.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_no_command_is_usage_error(capsys):
@@ -149,11 +157,8 @@ def test_gen_into_closed_pipe_exits_quietly(tmp_path):
     # of the output (far more than one pipe buffer) is still unwritten.
     words = tmp_path / "w.txt"
     words.write_text("".join(f"password{i}\n" for i in range(5000)))
-    src = str(Path(leetforge.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "leetforge.cli", "gen", "-w", str(words)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -205,6 +210,21 @@ def test_crack_malformed_hashes_is_input_error(capsys, tmp_path, wordfile):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("input_kind", ["digest list", "rule file"])
+def test_invalid_utf8_input_is_input_error_with_line(capsys, tmp_path, wordfile, input_kind):
+    bad = tmp_path / "bad.txt"
+    if input_kind == "digest list":
+        bad.write_bytes(hashlib.md5(b"dragon").hexdigest().encode() + b"\n\xff\n")
+        argv = ["crack", "--hashes", bad, "-w", wordfile]
+    else:
+        bad.write_bytes(b"A\ta>@\n# caf\xe9\n")
+        argv = ["gen", "-w", wordfile, "-r", bad]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{input_kind}, line 2: invalid UTF-8" in err
+
+
 def test_detect_emits_jsonl(capsys, wordfile):
     code, out, _ = run_cli(capsys, "detect", "-p", "p@ssw0rd", "-p", "zzz",
                            "--dict", wordfile)
@@ -222,12 +242,45 @@ def test_detect_without_passwords_is_usage_error(capsys, wordfile):
     assert out == ""
 
 
+def test_detect_stdin_decodes_utf8_and_strips_crlf(capsys, monkeypatch, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_bytes("p\u00e4ssword\n".encode("utf-8"))
+    # stdin's text layer as in a Latin-1 locale: the bytes must still read as UTF-8
+    data = "p\u00e4ssw0rd\r\n \r\n\r\nzzz\r\n".encode("utf-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1",
+                                                       newline="\n"))
+    code, out, _ = run_cli(capsys, "detect", "--dict", words, "--stdin")
+    assert code == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [d["password"] for d in docs] == ["p\u00e4ssw0rd", "zzz"]
+    assert {"base_word": "p\u00e4ssword", "rule_id": "S28"} in docs[0]["findings"]
+
+
+def test_detect_stdin_invalid_utf8_is_input_error(wordfile):
+    # `printf 'p@ssw0rd\np\xffw\n' | leetforge detect --stdin`, through a real pipe
+    proc = subprocess.run([sys.executable, "-m", "leetforge.cli", "detect", "--dict",
+                           str(wordfile), "--stdin"], input=b"p@ssw0rd\np\xffw\n",
+                          capture_output=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"stdin, line 2: invalid UTF-8" in proc.stderr
+
+
 def test_export_rules_builtin(capsys):
-    code, out, _ = run_cli(capsys, "export-rules", "--builtin")
+    code, out, _ = run_cli(capsys, "export-rules")
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 67
     assert lines[0] == "sa0 sA0"
+
+
+def test_removed_export_builtin_flag_is_usage_error(capsys, tmp_path):
+    # the default already exports the builtin set; the flag used to override -r
+    rules = tmp_path / "custom.rules"
+    rules.write_text("X\tk>x\n")
+    code, out, _ = run_cli(capsys, "export-rules", "-r", rules, "--builtin")
+    assert code == 1
+    assert out == ""
 
 
 def test_export_rules_native_roundtrip(capsys, tmp_path):
@@ -240,6 +293,17 @@ def test_export_rules_native_roundtrip(capsys, tmp_path):
                              "--format", "native")
     assert code2 == 0
     assert out2 == out
+
+
+def test_rule_file_with_line_separator_chars_replays_byte_for_byte(capsys, tmp_path):
+    # str.splitlines breaks a line at each of these; a rule file line ends at \n only
+    seps = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    text = "".join(f"X{i}\ta>{sep}\nY{i}\t{sep}>b\tcs\n" for i, sep in enumerate(seps))
+    rules = tmp_path / "seps.rules"
+    rules.write_bytes(text.encode("utf-8"))
+    code, out, err = run_cli(capsys, "export-rules", "-r", rules, "--format", "native")
+    assert code == 0, err
+    assert out.encode("utf-8") == rules.read_bytes()
 
 
 def test_stats_table_and_json(capsys, tmp_path):

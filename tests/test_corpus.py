@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+
 import pytest
 
 from leetforge import WordList, WordlistDecodeError, corpus_stats, load_wordlists
@@ -35,6 +37,14 @@ def test_bytes_input_and_decode_error():
     assert wl.words == ("café",)
     with pytest.raises(WordlistDecodeError, match=r"dump, line 2"):
         load_wordlists([("dump", b"fine\n\xff\xfe\nafter\n")])
+
+
+def test_leading_bom_is_dropped():
+    wl = load_wordlists([("b", codecs.BOM_UTF8 + b"password\n"), ("s", "\ufeffdragon\n")])
+    assert wl.words == ("password", "dragon")
+    # line numbers count from the start of the input, BOM included
+    with pytest.raises(WordlistDecodeError, match=r"b, line 2"):
+        load_wordlists([("b", codecs.BOM_UTF8 + b"fine\n\xff\n")])
 
 
 def test_loading_is_idempotent():

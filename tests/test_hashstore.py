@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import random
 import threading
@@ -50,6 +51,11 @@ def test_load_splits_lines_on_newline_only(sep):
     with pytest.raises(HashFormatError, match="line 2"):
         load_hashes(f"{H_CAT}\n{H_CAT}{sep}{H_DOG}\n")
     assert load_hashes(f"{H_CAT}\r\n{H_DOG}\r\n").raw_count == 2
+
+
+def test_load_drops_leading_bom():
+    assert load_hashes(codecs.BOM_UTF8 + f"{H_CAT}\n".encode()).unique_count == 1
+    assert load_hashes(f"\ufeff{H_CAT}\n").unique_count == 1
 
 
 def test_load_other_algorithms():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import random
 import string
@@ -160,6 +161,49 @@ def test_roundtrip_random_rulesets():
                                          case_insensitive=rng.random() < 0.7))
         rs = RuleSet(tuple(rules))
         assert parse_rules(serialize_rules(rs)) == rs
+
+
+def test_parse_drops_leading_bom():
+    for text in (codecs.BOM_UTF8 + b"X\ta>@\n", "\ufeffX\ta>@\n"):
+        assert [r.id for r in parse_rules(text)] == ["X"]
+
+
+# Characters that can break a native rule line, splitlines separators among them.
+_AWKWARD = "\t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029# ,>aAbB1@"
+_IDS = ["X", "", " ", "\x85", "#c", " #c", "a#", "a\tb", "a\nb", "a\rb", "a\r", "R\u2028"]
+
+
+def _replays(rule: ReplacementRule) -> bool:
+    """Whether a rule's native line can read back as the rule, from the format alone."""
+    text = rule.id + "".join(p.source + p.replacement for p in rule.pairs)
+    if "\t" in text or "\n" in text:
+        return False  # a TAB adds a field, an LF ends the line
+    if not rule.id.strip() or rule.id.lstrip().startswith("#"):
+        return False  # an empty id, or a comment line
+    # without the cs field the line ends in the last replacement; trailing CRs are stripped
+    return not (rule.case_insensitive and rule.pairs[-1].replacement == "\r")
+
+
+def test_serialize_replays_or_refuses_random_rules():
+    rng = random.Random(0xC0DE)
+    outcomes = set()
+    for _ in range(3000):
+        pairs = tuple(CharPair(*rng.sample(_AWKWARD, 2)) for _ in range(rng.randint(1, 3)))
+        try:
+            rule = ReplacementRule(rng.choice(_IDS), pairs, case_insensitive=rng.random() < 0.5)
+        except ValueError:
+            continue  # a repeated source character
+        rs = RuleSet((rule,))
+        try:
+            text = serialize_rules(rs)
+        except ExportError:
+            assert not _replays(rule), rule
+            outcomes.add("refused")
+            continue
+        assert _replays(rule), rule
+        assert parse_rules(text) == rs
+        outcomes.add("replayed")
+    assert outcomes == {"refused", "replayed"}
 
 
 def test_export_case_sensitive_single():
