@@ -40,8 +40,8 @@ class WordList:
     @classmethod
     def from_words(cls, words: Iterable[str], source: str = "memory") -> "WordList":
         """Build a list from in-memory words under the same dedup/blank rules."""
-        words = list(words)
-        return cls(tuple(dict.fromkeys(w for w in words if w)), ((source, len(words)),))
+        words = [w for w in words if w]
+        return cls(tuple(dict.fromkeys(words)), ((source, len(words)),))
 
 
 def read_lines(source: str, data: str | bytes) -> list[str]:
@@ -80,8 +80,8 @@ def load_wordlists(inputs: Iterable[tuple[str, str | bytes]]) -> WordList:
 
 
 def load_wordlist_files(paths: Iterable[str | Path]) -> WordList:
-    """Load files as wordlist sources; each source is named by its file name."""
-    return load_wordlists((p.name, p.read_bytes()) for p in map(Path, paths))
+    """Load files as wordlist sources; each source is named by its path as given."""
+    return load_wordlists((str(p), Path(p).read_bytes()) for p in paths)
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,19 @@ class DetectionResult:
 def deleet(password: str, rs: RuleSet) -> list[Finding]:
     """Per-rule exact inversion under replace-all semantics.
 
-    Each rule maps its replacement characters back to their (lowercase)
-    sources; the reconstruction only counts when re-applying the rule
-    reproduces the password exactly, which rejects passwords that still
-    contain a source character the rule would have replaced. At most one
-    finding per rule; no dictionary filtering here.
+    Each rule maps its replacement characters back to their sources (see
+    inverse_translation); the reconstruction only counts when re-applying the
+    rule reproduces the password exactly, which rejects passwords that still
+    contain a source character the rule would have replaced. A rule is only
+    tried when its inverse_screen admits the password's characters. At most
+    one finding per rule; no dictionary filtering here.
     """
+    chars = set(password)
     findings = []
     for rule in rs:
+        replacements, blocking = rule.inverse_screen
+        if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
+            continue
         base = password.translate(rule.inverse_translation)
         if base == password:
             continue

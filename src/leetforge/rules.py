@@ -132,8 +132,24 @@ class ReplacementRule:
 
     @cached_property
     def inverse_translation(self) -> dict[int, str]:
-        """Replacement characters mapped back to their lowercase sources."""
-        return {ord(p.replacement): p.source.lower() for p in self.pairs}
+        """Replacement characters mapped back to their sources.
+
+        A case-insensitive rule maps back to the lowercase source, a
+        case-sensitive one to the source as written.
+        """
+        return {ord(p.replacement): p.source.lower() if self.case_insensitive else p.source
+                for p in self.pairs}
+
+    @cached_property
+    def inverse_screen(self) -> tuple[frozenset[str], frozenset[str]]:
+        """(replacement characters, blocking characters) of the rule.
+
+        A password can be this rule's output only if it holds a replacement
+        character and no blocking character: one the rule replaces that is not
+        also a replacement, since inverting keeps it and re-applying changes it.
+        """
+        replacements = frozenset(p.replacement for p in self.pairs)
+        return replacements, frozenset(map(chr, self.translation)) - replacements
 
     @cached_property
     def byte_table(self) -> bytes | None:

@@ -115,3 +115,17 @@ def simulate_hashcat_line(line: str, word: str) -> str:
         assert len(token) == 3 and token[0] == "s", f"unexpected token {token!r}"
         out = out.replace(token[1], token[2])
     return out
+
+
+def deleet_reference(password, rules):
+    """Unscreened inversion: every rule, char-by-char inverse, mangle_reference check.
+
+    Same contract as deleet: (base, rule_id) per rule whose inverse changes the
+    password and whose re-application reproduces it exactly, in rule order.
+    """
+    findings = []
+    for rule in rules:
+        base = "".join(rule.inverse_translation.get(ord(ch), ch) for ch in password)
+        if base != password and mangle_reference(base, rule) == password:
+            findings.append((base, rule.id))
+    return findings

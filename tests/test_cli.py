@@ -318,7 +318,24 @@ def test_stats_table_and_json(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["raw_total"] == 4
     assert doc["unique_words"] == 3
-    assert doc["sources"][0] == {"name": "a.txt", "words": 2}
+    assert doc["sources"][0] == {"name": str(a), "words": 2}
+
+
+def test_same_named_word_lists_keep_their_paths(capsys, tmp_path):
+    a = tmp_path / "a" / "words.txt"
+    b = tmp_path / "b" / "words.txt"
+    for path in (a, b):
+        path.parent.mkdir()
+    a.write_text("x\n")
+    b.write_text("y\nz\n")
+    code, out, _ = run_cli(capsys, "stats", "-w", a, "-w", b, "--json")
+    assert code == 0
+    assert json.loads(out)["sources"] == [{"name": str(a), "words": 1},
+                                          {"name": str(b), "words": 2}]
+    b.write_bytes(b"y\n\xff\n")
+    code, out, err = run_cli(capsys, "stats", "-w", a, "-w", b)
+    assert code == 2
+    assert f"{b}, line 2: invalid UTF-8" in err
 
 
 def test_bench_end_to_end(capsys, tmp_path):

@@ -64,7 +64,7 @@ def test_membership_helpers():
 def test_from_words_matches_loader_semantics():
     wl = WordList.from_words(["x", "y", "x", ""], source="mem")
     assert wl.words == ("x", "y")
-    assert wl.sources == (("mem", 4),)
+    assert wl.sources == (("mem", 3),)
 
 
 def test_stats_empty():

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 import string
 
-from leetforge import (WordList, apply_rule, audit, builtin_rules, deleet,
-                       parse_rules)
+from leetforge import (CharPair, ReplacementRule, RuleSet, WordList, apply_rule, audit,
+                       builtin_rules, deleet, parse_rules)
+from oracles import deleet_reference
 
 RS = builtin_rules()
 TOP5 = RS.top5
@@ -47,6 +48,59 @@ def test_deleet_reconstructs_lowercase_sources():
     # case-insensitive re-application still verifies
     findings = deleet("SK8TER", RS)
     assert ("SKaTER", "S4") in findings
+
+
+def test_deleet_inverts_case_sensitive_uppercase_source():
+    rs = parse_rules("X\tA>4\tcs\n")
+    assert apply_rule("ABC", rs.by_id("X")) == "4BC"
+    assert deleet("4BC", rs) == [("ABC", "X")]
+    assert audit("4BC", rs, WordList.from_words(["ABC"])).findings == (("ABC", "X"),)
+
+
+def _random_custom_rules(rng, n):
+    """n rules over a small pool, so chains (a>b,b>1), shared replacements
+    (a>1,i>1), case-sensitive uppercase sources, A>a and non-ASCII pairs recur."""
+    pool = "abiAB1@" + "\u00e9\u00c9\u20ac"   # é É €
+    rules = []
+    while len(rules) < n:
+        try:
+            pairs = tuple(CharPair(*rng.sample(pool, 2)) for _ in range(rng.randint(1, 3)))
+            rules.append(ReplacementRule(f"C{len(rules)}", pairs,
+                                         case_insensitive=rng.random() < 0.5))
+        except ValueError:   # a repeated source character
+            continue
+    return RuleSet(tuple(rules))
+
+
+def _assert_matches_reference(pw, rs):
+    want = deleet_reference(pw, rs)
+    assert deleet(pw, rs) == want
+    bases = [base for base, _ in want]
+    expected = set(want)
+    if pw.casefold() in {b.casefold() for b in bases}:
+        expected.add((pw, "BASE"))
+    assert audit(pw, rs, WordList.from_words(bases)).findings == tuple(
+        sorted(expected, key=lambda f: (f[1], f[0])))
+    return len(want)
+
+
+def test_deleet_and_audit_match_unscreened_reference():
+    rng = random.Random(33)
+    named = parse_rules("chain\ta>b,b>c\nshared\ta>1,i>1\nupper\tA>4,B>8\tcs\n"
+                        "fold\tA>a\nwide\t\u00e9>\u20ac,\u00c9>e\tcs\n")
+    found = 0
+    for rs in [RS, named] + [_random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
+        # passwords from the rules' own characters, plus forward mangles
+        chars = sorted({c for r in rs for p in r.pairs
+                        for c in (p.source, p.source.swapcase(), p.replacement)} | {"x"})
+        for _ in range(40):
+            word = "".join(rng.choice(chars) for _ in range(rng.randint(1, 8)))
+            found += _assert_matches_reference(word, rs)
+            mangled = apply_rule(word, rs[rng.randrange(len(rs))])
+            if mangled is not None:
+                found += _assert_matches_reference(mangled, rs)
+    assert found > 10000
+    assert deleet("cb", named) == [("ba", "chain")]
 
 
 def test_deleet_verification_is_sound():
