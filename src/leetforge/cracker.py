@@ -20,7 +20,21 @@ if TYPE_CHECKING:
     from .hashstore import HashStore
 
 ALGORITHMS = {"md5": 16, "sha1": 20, "sha256": 32}
-_CONSTRUCTORS = {"md5": hashlib.md5, "sha1": hashlib.sha1, "sha256": hashlib.sha256}
+
+# CPython's builtin md5, and its sha256 up to 3.11, hash a password-length
+# input 1.2-2x faster than hashlib's OpenSSL-backed constructors, which
+# spend most of each call setting up a context. The picks are for password-
+# length input only: on 4 KiB inputs the builtin sha256 is ~5x slower.
+# Builds without the builtin modules fall back to hashlib.
+try:
+    from _md5 import md5 as _md5
+except ImportError:
+    _md5 = hashlib.md5
+try:
+    from _sha256 import sha256 as _sha256   # gone in 3.12; its _sha2 is no faster
+except ImportError:
+    _sha256 = hashlib.sha256
+_CONSTRUCTORS = {"md5": _md5, "sha1": hashlib.sha1, "sha256": _sha256}
 
 # Accepted by crack() for compatibility; it has no effect.
 DEFAULT_CHUNK_BYTES = 64 * 1024
@@ -37,9 +51,13 @@ def digest_size(algorithm: str) -> int:
 
 
 def digest_of(plaintext: str | bytes, algorithm: str = "md5") -> bytes:
-    """Raw digest of the exact bytes; str input is hashed as its UTF-8 encoding."""
+    """Raw digest of the exact bytes; str input is hashed as its UTF-8 encoding.
+
+    Lone surrogates encode as "surrogatepass" bytes, as the generator dedups them.
+    """
     digest_size(algorithm)
-    data = plaintext.encode("utf-8") if isinstance(plaintext, str) else plaintext
+    data = (plaintext.encode("utf-8", "surrogatepass") if isinstance(plaintext, str)
+            else plaintext)
     return _CONSTRUCTORS[algorithm](data).digest()
 
 
@@ -101,7 +119,7 @@ def crack(hs: "HashStore", candidates: Iterable[CandidateRecord],
     start = time.perf_counter()
     for cand, base, rule_id in candidates:
         attempted += 1
-        d = hasher(cand.encode("utf-8")).digest()
+        d = hasher(cand.encode("utf-8", "surrogatepass")).digest()
         if d in digests:
             if hs.mark_recovered(d, cand):
                 recovered_new += 1

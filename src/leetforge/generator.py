@@ -80,6 +80,7 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
     # as the strings would, in less memory per entry.
     seen: set[bytes] | None = set() if opts.dedup else None
+    new = tuple.__new__   # builds a CandidateRecord without NamedTuple.__new__'s call overhead
     if opts.include_base:
         for word in wl.words:
             if seen is not None:
@@ -90,13 +91,12 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
                 seen.add(wb)
             stats.emitted += 1
             stats.by_arity["base"] += 1
-            yield CandidateRecord(word, word, BASE_RULE_ID)
+            yield new(CandidateRecord, (word, word, BASE_RULE_ID))
     # flattened per-rule data keeps the inner loop free of attribute lookups;
     # the last field is the rule only when strict_multi can drop its output
     compiled = [(r.id, r.arity, r.byte_table, r.translation,
                  r if opts.strict_multi and len(r.pairs) > 1 else None) for r in rs]
     by_arity = stats.by_arity
-    new = tuple.__new__   # builds a CandidateRecord without NamedTuple.__new__'s call overhead
     for word in wl.words:
         wb = word.encode("utf-8", "surrogatepass")
         for rule_id, arity, byte_table, table, strict_rule in compiled:
@@ -148,5 +148,6 @@ def count_candidates(wl: WordList, rs: RuleSet,
 
 def base_candidates(wl: WordList) -> Iterator[CandidateRecord]:
     """The unmangled words as a candidate stream (rule id BASE)."""
+    new = tuple.__new__
     for word in wl.words:
-        yield CandidateRecord(word, word, BASE_RULE_ID)
+        yield new(CandidateRecord, (word, word, BASE_RULE_ID))

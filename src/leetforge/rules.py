@@ -134,11 +134,16 @@ class ReplacementRule:
     def inverse_translation(self) -> dict[int, str]:
         """Replacement characters mapped back to their sources.
 
-        A case-insensitive rule maps back to the lowercase source, a
-        case-sensitive one to the source as written.
+        Each maps back to source.lower() when the pair replaces that
+        character, else to the source as written: a case-sensitive uppercase
+        source, or a titlecase one such as U+01C5, whose swapcase is itself.
         """
-        return {ord(p.replacement): p.source.lower() if self.case_insensitive else p.source
-                for p in self.pairs}
+        table = {}
+        for p in self.pairs:
+            lower = p.source.lower()
+            table[ord(p.replacement)] = (
+                lower if lower in _claimed(p, self.case_insensitive) else p.source)
+        return table
 
     @cached_property
     def inverse_screen(self) -> tuple[frozenset[str], frozenset[str]]:

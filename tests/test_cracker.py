@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leetforge
 from leetforge import (AlgorithmMismatchError, GenOptions, UnknownAlgorithmError,
                        WordList, base_candidates, builtin_rules, crack,
                        digest_of, generate, load_hashes)
+from leetforge.cracker import _CONSTRUCTORS
 from leetforge.generator import CandidateRecord
 from oracles import md5_reference
 from synthetic import planted_corpus
@@ -30,6 +38,67 @@ def test_digest_of_agrees_with_reference_md5():
         assert digest_of(data) == md5_reference(data)
     assert digest_of("a") == md5_reference(b"a")
     assert digest_of("café") == md5_reference("café".encode("utf-8"))
+
+
+def test_md5_matches_reference_at_padding_edges():
+    # 55 bytes is the longest input whose length fits in the final block
+    for n in (0, 55, 56, 63, 64, 65):
+        data = bytes(range(n))
+        assert digest_of(data) == md5_reference(data), n
+        assert _CONSTRUCTORS["md5"](data).digest() == md5_reference(data), n
+
+
+def test_sha_digests_match_hashlib():
+    for data in (b"", b"p@ssw0rd", "caf\u00e9".encode(), bytes(range(65)), b"x" * 4096):
+        assert digest_of(data, "sha1") == hashlib.sha1(data).digest()
+        assert digest_of(data, "sha256") == hashlib.sha256(data).digest()
+
+
+def test_md5_uses_builtin_module_when_importable():
+    builtin = pytest.importorskip("_md5")
+    assert _CONSTRUCTORS["md5"] is builtin.md5
+
+
+_FALLBACK_SCRIPT = """
+import hashlib, json, sys
+sys.modules["_md5"] = sys.modules["_sha256"] = None
+from leetforge import WordList, builtin_rules, crack, digest_of, generate, load_hashes
+from leetforge.cracker import _CONSTRUCTORS
+assert _CONSTRUCTORS["md5"] is hashlib.md5 and _CONSTRUCTORS["sha256"] is hashlib.sha256
+inputs = json.loads(sys.argv[1])
+digests = {alg: [digest_of(w, alg).hex() for w in inputs] for alg in ("md5", "sha1", "sha256")}
+result = crack(load_hashes(sys.argv[2]), generate(WordList.from_words(inputs), builtin_rules()))
+print(json.dumps({"digests": digests, "matches": result.to_dict()["matches"],
+                  "attempted": result.attempted, "recovered_new": result.recovered_new}))
+"""
+
+
+def test_hashlib_fallback_gives_identical_digests_and_crack_result():
+    inputs = ["password", "dragon", "caf\u00e9", "x" * 64]
+    hash_text = "".join(digest_of(p).hex() + "\n" for p in ("p@ssw0rd", "dr4gon", "c@f\u00e9"))
+    src = str(Path(leetforge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FALLBACK_SCRIPT, json.dumps(inputs), hash_text],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    fallback = json.loads(out.stdout)
+    result = crack(load_hashes(hash_text), generate(WordList.from_words(inputs), RS))
+    assert result.recovered_new == 3
+    assert fallback == {
+        "digests": {alg: [digest_of(w, alg).hex() for w in inputs]
+                    for alg in ("md5", "sha1", "sha256")},
+        "matches": result.to_dict()["matches"],
+        "attempted": result.attempted, "recovered_new": result.recovered_new}
+
+
+def test_lone_surrogate_hashes_as_surrogatepass_bytes():
+    word = "pass\udc80word"
+    data = "p@ss\udc80word".encode("utf-8", "surrogatepass")
+    assert digest_of("p@ss\udc80word") == md5_reference(data)
+    hs = load_hashes(md5_reference(data).hex() + "\n")
+    result = crack(hs, generate(WordList.from_words([word]), RS))
+    assert [(m.plaintext, m.base_word) for m in result.matches] == [("p@ss\udc80word", word)]
+    assert result.recovered_new == 1
+    assert hs.recovered[md5_reference(data)] == "p@ss\udc80word"
 
 
 def test_digest_of_is_deterministic_and_checked():

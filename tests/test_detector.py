@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import string
+import sys
 
 from leetforge import (CharPair, ReplacementRule, RuleSet, WordList, apply_rule, audit,
                        builtin_rules, deleet, parse_rules)
@@ -57,10 +58,26 @@ def test_deleet_inverts_case_sensitive_uppercase_source():
     assert audit("4BC", rs, WordList.from_words(["ABC"])).findings == (("ABC", "X"),)
 
 
+def test_deleet_inverts_titlecase_sources():
+    # titlecase letters swap case to themselves and lowercase to another letter
+    titlecase = [c for c in map(chr, range(sys.maxunicode + 1))
+                 if c.swapcase() == c and c.lower() != c]
+    assert len(titlecase) == 31
+    for source in titlecase:
+        for flag in ("", "\tcs"):
+            rs = parse_rules(f"X\t{source}>x{flag}\n")
+            word = source + "a" + source.lower()
+            mangled = apply_rule(word, rs.by_id("X"))
+            assert mangled == "xa" + source.lower()
+            assert deleet(mangled, rs) == [(word, "X")]
+            assert audit(mangled, rs, WordList.from_words([word])).findings == ((word, "X"),)
+
+
 def _random_custom_rules(rng, n):
     """n rules over a small pool, so chains (a>b,b>1), shared replacements
-    (a>1,i>1), case-sensitive uppercase sources, A>a and non-ASCII pairs recur."""
-    pool = "abiAB1@" + "\u00e9\u00c9\u20ac"   # é É €
+    (a>1,i>1), case-sensitive uppercase sources, A>a, non-ASCII pairs and a
+    titlecase source recur."""
+    pool = "abiAB1@" + "\u00e9\u00c9\u20ac\u01c5"   # é É € ǅ
     rules = []
     while len(rules) < n:
         try:

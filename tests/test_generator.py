@@ -7,8 +7,9 @@ import random
 import string
 
 from leetforge import (BASE_RULE_ID, CharPair, GenOptions, ReplacementRule, RuleSet,
-                       WordList, apply_rule, builtin_rules, count_candidates, generate,
-                       parse_rules)
+                       WordList, apply_rule, base_candidates, builtin_rules,
+                       count_candidates, generate, parse_rules)
+from leetforge.generator import CandidateRecord
 from oracles import brute_force_candidates, generate_reference, mangle_reference
 
 RS = builtin_rules()
@@ -110,6 +111,8 @@ def test_generate_base_words_stream_first_and_win_dedup():
     records, stats = _records(wl, rs, GenOptions(include_base=True))
     assert [(r.candidate, r.rule_id) for r in records] == \
         [("loss", BASE_RULE_ID), ("l0ss", BASE_RULE_ID)]
+    assert {type(r) for r in records} == {CandidateRecord}
+    assert [(r, type(r)) for r in base_candidates(wl)] == [(r, CandidateRecord) for r in records]
     # the mangled loss->l0ss lost to the base word l0ss
     assert stats.suppressed_duplicates == 1
     assert stats.emitted == 2
