@@ -21,20 +21,15 @@ if TYPE_CHECKING:
 
 ALGORITHMS = {"md5": 16, "sha1": 20, "sha256": 32}
 
-# CPython's builtin md5, and its sha256 up to 3.11, hash a password-length
-# input 1.2-2x faster than hashlib's OpenSSL-backed constructors, which
-# spend most of each call setting up a context. The picks are for password-
-# length input only: on 4 KiB inputs the builtin sha256 is ~5x slower.
-# Builds without the builtin modules fall back to hashlib.
+# CPython's builtin md5 hashes a password-length input ~2x faster than
+# hashlib's OpenSSL-backed one, which spends most of each call setting up a
+# context. The pick is for password-length input; on 4 KiB inputs the two
+# are about as fast. Builds without the builtin module fall back to hashlib.
 try:
     from _md5 import md5 as _md5
 except ImportError:
     _md5 = hashlib.md5
-try:
-    from _sha256 import sha256 as _sha256   # gone in 3.12; its _sha2 is no faster
-except ImportError:
-    _sha256 = hashlib.sha256
-_CONSTRUCTORS = {"md5": _md5, "sha1": hashlib.sha1, "sha256": _sha256}
+_CONSTRUCTORS = {"md5": _md5, "sha1": hashlib.sha1, "sha256": hashlib.sha256}
 
 # Accepted by crack() for compatibility; it has no effect.
 DEFAULT_CHUNK_BYTES = 64 * 1024

@@ -62,7 +62,7 @@ def test_deleet_inverts_titlecase_sources():
     # titlecase letters swap case to themselves and lowercase to another letter
     titlecase = [c for c in map(chr, range(sys.maxunicode + 1))
                  if c.swapcase() == c and c.lower() != c]
-    assert len(titlecase) == 31
+    assert {"\u01c5", "\u01c8", "\u1f88"} <= set(titlecase)   # ǅ ǈ ᾈ
     for source in titlecase:
         for flag in ("", "\tcs"):
             rs = parse_rules(f"X\t{source}>x{flag}\n")
