@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus import WordList
-from .cracker import CrackResult, crack
+from .cracker import crack
 from .generator import GenOptions, base_candidates, generate
 from .hashstore import HashStore, format_potfile, load_hashes
 from .rules import RuleSet
@@ -37,43 +37,15 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         """JSON form: counts stay integers, percentages become one-decimal strings."""
-        return {
-            "wordlist_size": self.wordlist_size,
-            "candidate_count": self.candidate_count,
-            "hash_raw": self.hash_raw,
-            "hash_unique": self.hash_unique,
-            "baseline_recovered": self.baseline_recovered,
-            "pattern_recovered": self.pattern_recovered,
-            "uplift_percent": None if self.uplift_percent is None
-                              else f"{self.uplift_percent:.1f}",
-            "throughput": {k: round(v, 1) for k, v in self.throughput.items()},
-            "ruleset_name": self.ruleset_name,
-            "options": self.options,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
+        doc = asdict(self)
+        if self.uplift_percent is not None:
+            doc["uplift_percent"] = f"{self.uplift_percent:.1f}"
+        doc["throughput"] = {k: round(v, 1) for k, v in self.throughput.items()}
+        return doc
 
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _run_phases(wl: WordList, hash_source: str | bytes, rs: RuleSet,
-                gen_opts: GenOptions, algorithm: str, threads: int
-                ) -> tuple[CrackResult, HashStore, CrackResult, HashStore, int]:
-    """Both phases against fresh stores holding the digests of one parse.
-
-    Phase 1 tries the plain words only; phase 2 tries the generated stream.
-    Returns (baseline result, baseline store, pattern result, pattern store,
-    pattern candidate count). threads has no effect.
-    """
-    baseline_store = load_hashes(hash_source, algorithm)
-    baseline = crack(baseline_store, base_candidates(wl))
-    pattern_store = HashStore(baseline_store.digest_set, algorithm,
-                              raw_count=baseline_store.raw_count)
-    stream = generate(wl, rs, gen_opts)
-    pattern = crack(pattern_store, stream)
-    return baseline, baseline_store, pattern, pattern_store, stream.stats.emitted
 
 
 def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet,
@@ -87,21 +59,27 @@ def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet,
     by default it is a strict superset of the baseline run. opts contributes
     the strict_multi/dedup knobs; its include_base is overridden by the
     benchmark design. When potfile_path is given, the pattern phase's
-    recovered entries are written there. threads has no effect; it is only
-    echoed in the report's options.
+    recovered entries are written there. threads has no effect:
+    perfbench/workloads.py is its only user, so it goes when that file stops
+    passing it.
     """
     opts = opts or GenOptions()
     gen_opts = GenOptions(include_base=not patterns_only,
                           strict_multi=opts.strict_multi, dedup=opts.dedup)
     started = _utcnow()
-    baseline, _, pattern, pattern_store, candidate_count = _run_phases(
-        wl, hash_source, rs, gen_opts, algorithm, threads)
+    # The digest list is parsed once; each phase matches into a fresh store.
+    baseline_store = load_hashes(hash_source, algorithm)
+    baseline = crack(baseline_store, base_candidates(wl))
+    pattern_store = HashStore(baseline_store.digest_set, algorithm,
+                              raw_count=baseline_store.raw_count)
+    stream = generate(wl, rs, gen_opts)
+    pattern = crack(pattern_store, stream)
     finished = _utcnow()
     if potfile_path is not None:
         Path(potfile_path).write_text(format_potfile(pattern_store), encoding="utf-8")
     return BenchReport(
         wordlist_size=len(wl),
-        candidate_count=candidate_count,
+        candidate_count=stream.stats.emitted,
         hash_raw=pattern_store.raw_count,
         hash_unique=pattern_store.unique_count,
         baseline_recovered=baseline.recovered_new,
@@ -115,7 +93,6 @@ def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet,
             "dedup": gen_opts.dedup,
             "patterns_only": patterns_only,
             "algorithm": algorithm,
-            "threads": threads,
         },
         started_at=started,
         finished_at=finished,

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .bench import format_report_table, run_benchmark
-from .corpus import corpus_stats, load_wordlist_files, read_lines
+from .corpus import load_wordlist_files, read_lines
 from .cracker import ALGORITHMS, crack
 from .detector import audit
 from .errors import InputFormatError, LeetforgeError
@@ -76,6 +76,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_crack(args) -> int:
+    if args.rules == "none" and args.patterns_only:
+        print("leetforge crack: --patterns-only needs rules to mangle with "
+              "(-r none tries only the base words)", file=sys.stderr)
+        return EXIT_USAGE
     store = load_hashes(Path(args.hashes).read_bytes(), args.algorithm)
     wl = load_wordlist_files(args.wordlist)
     if args.rules == "none":
@@ -139,26 +143,27 @@ def cmd_export_rules(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    stats = corpus_stats(load_wordlist_files(args.wordlist))
+    wl = load_wordlist_files(args.wordlist)
+    raw_total = sum(count for _, count in wl.sources)
     if args.json:
         print(json.dumps({
-            "sources": [{"name": n, "words": c} for n, c in stats.per_source],
-            "raw_total": stats.raw_total,
-            "unique_words": stats.unique_words,
+            "sources": [{"name": n, "words": c} for n, c in wl.sources],
+            "raw_total": raw_total,
+            "unique_words": len(wl),
         }, indent=2))
         return EXIT_OK
-    rows = [(name, f"{count:,}") for name, count in stats.per_source]
-    rows.append(("total (raw)", f"{stats.raw_total:,}"))
-    rows.append(("unique", f"{stats.unique_words:,}"))
+    rows = [(name, f"{count:,}") for name, count in wl.sources]
+    rows.append(("total (raw)", f"{raw_total:,}"))
+    rows.append(("unique", f"{len(wl):,}"))
     width = max(len(name) for name, _ in rows)
     for name, count in rows:
         print(f"{name:<{width}}  {count}")
     return EXIT_OK
 
 
-def _add_wordlist_arg(p, required=True):
-    p.add_argument("-w", "--wordlist", action="append", metavar="FILE",
-                   required=required, help="wordlist file, one word per line (repeatable)")
+def _add_wordlist_arg(p):
+    p.add_argument("-w", "--wordlist", action="append", metavar="FILE", required=True,
+                   help="wordlist file, one word per line (repeatable)")
 
 
 def _add_rules_arg(p):

@@ -1,4 +1,4 @@
-"""Wordlist ingestion: line normalization, first-occurrence dedup, per-source stats."""
+"""Wordlist ingestion: line normalization, first-occurrence dedup, per-source counts."""
 
 from __future__ import annotations
 
@@ -22,13 +22,6 @@ class WordList:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._word_set
-
-    @cached_property
-    def _word_set(self) -> frozenset[str]:
-        return frozenset(self.words)
 
     @cached_property
     def _casefolded(self) -> frozenset[str]:
@@ -82,15 +75,3 @@ def load_wordlists(inputs: Iterable[tuple[str, str | bytes]]) -> WordList:
 def load_wordlist_files(paths: Iterable[str | Path]) -> WordList:
     """Load files as wordlist sources; each source is named by its path as given."""
     return load_wordlists((str(p), Path(p).read_bytes()) for p in paths)
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    per_source: tuple[tuple[str, int], ...]
-    raw_total: int
-    unique_words: int
-
-
-def corpus_stats(wl: WordList) -> CorpusStats:
-    """Per-source raw counts with the pre-dedup total and post-dedup unique count."""
-    return CorpusStats(wl.sources, sum(n for _, n in wl.sources), len(wl.words))

@@ -31,7 +31,8 @@ except ImportError:
     _md5 = hashlib.md5
 _CONSTRUCTORS = {"md5": _md5, "sha1": hashlib.sha1, "sha256": hashlib.sha256}
 
-# Accepted by crack() for compatibility; it has no effect.
+# Accepted by crack() and has no effect; perfbench/workloads.py is its only
+# user, so it goes when that file stops passing it.
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
 
@@ -95,9 +96,9 @@ def crack(hs: "HashStore", candidates: Iterable[CandidateRecord],
 
     Hits are recorded with mark_recovered (atomic, first plaintext wins) and
     recovered_new counts only digests newly recovered by this call. Matches
-    come back sorted by digest. threads and chunk_bytes are accepted for
-    compatibility and have no effect: matching always runs on the calling
-    thread.
+    come back sorted by digest. threads and chunk_bytes have no effect:
+    matching always runs on the calling thread. perfbench/workloads.py is
+    their only user, so they go when that file stops passing them.
     """
     if algorithm is None:
         algorithm = hs.algorithm

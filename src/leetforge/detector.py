@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import WordList
-from .generator import BASE_RULE_ID, apply_rule
-from .rules import RuleSet
+from .generator import apply_rule
+from .rules import BASE_RULE_ID, RuleSet
 
 
 class Finding(NamedTuple):

@@ -1,4 +1,4 @@
-"""Candidate generation: rule application, streaming dedup, and counting."""
+"""Candidate generation: rule application and streaming dedup."""
 
 from __future__ import annotations
 
@@ -6,10 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .corpus import WordList
-from .rules import ReplacementRule, RuleSet
-
-# Provenance rule id for unmangled words.
-BASE_RULE_ID = "BASE"
+from .rules import BASE_RULE_ID, ReplacementRule, RuleSet
 
 
 class CandidateRecord(NamedTuple):
@@ -135,15 +132,6 @@ def generate(wl: WordList, rs: RuleSet,
     """
     stats = GenStats()
     return CandidateStream(_candidates(wl, rs, opts, stats), stats)
-
-
-def count_candidates(wl: WordList, rs: RuleSet,
-                     opts: GenOptions = GenOptions()) -> GenStats:
-    """Counts identical to generate() without retaining the candidates."""
-    stream = generate(wl, rs, opts)
-    for _ in stream:
-        pass
-    return stream.stats
 
 
 def base_candidates(wl: WordList) -> Iterator[CandidateRecord]:

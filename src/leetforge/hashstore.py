@@ -45,13 +45,6 @@ class HashStore:
     def recovered(self) -> Mapping[bytes, str]:
         return MappingProxyType(self._recovered)
 
-    @property
-    def recovered_count(self) -> int:
-        return len(self._recovered)
-
-    def __len__(self) -> int:
-        return len(self._digests)
-
     def __contains__(self, digest: bytes) -> bool:
         return self.contains(digest)
 

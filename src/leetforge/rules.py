@@ -22,6 +22,9 @@ ARITY_NAMES = {1: "single", 2: "dual", 3: "triad"}
 # Flag field that marks a rule as case-sensitive in the rule-file format.
 CASE_SENSITIVE_FLAG = "cs"
 
+# Provenance rule id for unmangled words; no rule may take it.
+BASE_RULE_ID = "BASE"
+
 # Source/replacement inventory of the builtin single rules, in id order S1..S43.
 _SINGLES = (
     "a0", "a1", "a4", "a8", "a@",
@@ -98,6 +101,8 @@ class ReplacementRule:
     def __post_init__(self) -> None:
         if not isinstance(self.pairs, tuple):
             object.__setattr__(self, "pairs", tuple(self.pairs))
+        if self.id == BASE_RULE_ID:
+            raise ValueError(f"rule id {BASE_RULE_ID!r} is reserved for unmangled words")
         if not 1 <= len(self.pairs) <= 3:
             raise ValueError(f"rule {self.id!r} must carry 1-3 pairs, got {len(self.pairs)}")
         if self.case_insensitive:

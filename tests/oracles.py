@@ -65,19 +65,6 @@ def mangle_reference(word, rule, strict_multi=False):
     return out if out != word else None
 
 
-def brute_force_candidates(words, rules, include_base=False, strict_multi=False):
-    """Nested-loop, set-semantics enumeration of every distinct candidate."""
-    out = set()
-    if include_base:
-        out.update(words)
-    for word in words:
-        for rule in rules:
-            mangled = mangle_reference(word, rule, strict_multi=strict_multi)
-            if mangled is not None:
-                out.add(mangled)
-    return out
-
-
 def generate_reference(words, rules, include_base=False, strict_multi=False, dedup=True):
     """Ordered, first-wins enumeration with generate()'s stream contract.
 
@@ -117,15 +104,33 @@ def simulate_hashcat_line(line: str, word: str) -> str:
     return out
 
 
+def preimage_reference(ch, rule):
+    """The character the rule's inverse puts back for ch, read from its pairs.
+
+    A replacement maps back to a character its pair replaces: the lowercase
+    one when the pair replaces one (so A>4 inverts 4 to a), else the source as
+    written (a case-sensitive A, a titlecase letter). A replacement shared by
+    two pairs maps back through the later pair; ch stays when no pair emits it.
+    """
+    for p in reversed(rule.pairs):
+        if ch == p.replacement:
+            replaced = [p.source]
+            if rule.case_insensitive:
+                replaced.append(p.source.swapcase())
+            lowercase = [c for c in replaced if c == c.lower()]
+            return lowercase[0] if lowercase else p.source
+    return ch
+
+
 def deleet_reference(password, rules):
-    """Unscreened inversion: every rule, char-by-char inverse, mangle_reference check.
+    """Unscreened inversion: every rule, char-by-char preimage, mangle_reference check.
 
     Same contract as deleet: (base, rule_id) per rule whose inverse changes the
     password and whose re-application reproduces it exactly, in rule order.
     """
     findings = []
     for rule in rules:
-        base = "".join(rule.inverse_translation.get(ord(ch), ch) for ch in password)
+        base = "".join(preimage_reference(ch, rule) for ch in password)
         if base != password and mangle_reference(base, rule) == password:
             findings.append((base, rule.id))
     return findings

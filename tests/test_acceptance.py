@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import random
 import string
+import subprocess
+import sys
 import time
 
 from leetforge import (GenOptions, WordList, apply_rule, audit, builtin_rules,
                        crack, generate, load_hashes, run_benchmark, uplift)
 from leetforge.rules import export_hashcat
-from oracles import brute_force_candidates, md5_reference, simulate_hashcat_line
+from oracles import generate_reference, md5_reference, simulate_hashcat_line
 from synthetic import planted_corpus
+from test_cli import cli_env
 
 RS = builtin_rules()
 
@@ -151,7 +154,7 @@ def test_canonical_substitution_examples():
 
 
 def test_generate_equals_brute_force():
-    """Streamed candidates match a nested-loop enumeration on 100 random wordlists."""
+    """Streamed candidates match the nested-loop reference on 100 random wordlists."""
     start = time.perf_counter()
     rng = random.Random(0xACCE97)
     alphabet = string.ascii_lowercase + string.ascii_uppercase + "0123456789@$!;,.?"
@@ -164,8 +167,9 @@ def test_generate_equals_brute_force():
         stream = generate(wl, RS, GenOptions(include_base=include_base,
                                              strict_multi=strict))
         got = [rec.candidate for rec in stream]
-        expected = brute_force_candidates(wl.words, RS, include_base=include_base,
-                                          strict_multi=strict)
+        records, _ = generate_reference(wl.words, RS, include_base=include_base,
+                                        strict_multi=strict)
+        expected = {candidate for candidate, _, _ in records}
         assert len(got) == len(set(got)), "dedup violated"
         assert set(got) == expected
         assert stream.stats.emitted == len(expected)
@@ -241,24 +245,38 @@ def test_hashcat_export_equivalence():
     _report("hashcat-export", f"67,000 token replays matched in {elapsed:.2f} s")
 
 
-def test_crack_thread_count_invariance():
-    """Identical counts and match lists for 1 and 4 workers on 1e5 candidates."""
+def test_determinism(tmp_path):
+    """gen and crack write byte-identical output under two string hash seeds."""
     start = time.perf_counter()
-    words, hash_text, _, _ = planted_corpus(25_000, 2000, 2000)
-    wl = WordList.from_words(words)
+    words, hash_text, _, _ = planted_corpus(3000, 300, 300)
+    # case variants, shared mangles and non-ASCII words give dedup work to do
+    words += ["password", "Password", "p@ssword", "pa55word", "caf\u00e9", "Stra\u00dfe"]
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("\n".join(words) + "\n", encoding="utf-8")
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(hash_text + md5_reference(b"p@ssw0rd").hex() + "\n")
     runs = []
-    for threads in (1, 4):
-        hs = load_hashes(hash_text)
-        stream = generate(wl, RS, GenOptions(include_base=True))
-        result = crack(hs, stream, threads=threads, chunk_bytes=8 * 1024)
-        assert stream.stats.emitted == 100_000  # 25k words x (base + 3 mangles)
-        runs.append((result.attempted, result.recovered_new, result.matches,
-                     sorted(hs.recovered.items())))
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        env = {**cli_env(), "PYTHONHASHSEED": seed}
+        stdout = []
+        for argv in (["gen", "-w", wordlist, "--include-base",
+                      "--provenance", out / "prov.tsv"],
+                     ["crack", "--hashes", hashes, "-w", wordlist,
+                      "--potfile", out / "out.pot"]):
+            proc = subprocess.run([sys.executable, "-m", "leetforge.cli", *map(str, argv)],
+                                  env=env, capture_output=True, check=True)
+            stdout.append(proc.stdout)
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert set(files) == {"prov.tsv", "out.pot"}
+        runs.append((stdout, files))
     assert runs[0] == runs[1]
-    attempted = runs[0][0]
+    potfile = runs[0][1]["out.pot"].decode("utf-8").splitlines()
+    assert len(potfile) == 601   # 300 plain + 300 mangled plants + p@ssw0rd
     elapsed = time.perf_counter() - start
-    _report("parallel-determinism",
-            f"{attempted} candidates, 1 vs 4 workers identical in {elapsed:.2f} s")
+    _report("determinism",
+            f"gen and crack byte-identical under PYTHONHASHSEED 1 and 2 in {elapsed:.2f} s")
 
 
 def test_throughput_informational():

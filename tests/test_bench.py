@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 
-from leetforge import GenOptions, WordList, builtin_rules, run_benchmark, uplift
-from leetforge.bench import _run_phases, format_report_table
+from leetforge import WordList, builtin_rules, run_benchmark, uplift
+from leetforge.bench import format_report_table
+from oracles import md5_reference
 from synthetic import planted_corpus
 
 RS = builtin_rules()
@@ -31,13 +32,16 @@ def test_benchmark_synthetic_counts():
     assert report.options["include_base"] is True
 
 
-def test_benchmark_pattern_includes_baseline():
+def test_benchmark_pattern_includes_baseline(tmp_path):
     words, hash_text, _, _ = planted_corpus(120, 30, 25)
-    wl = WordList.from_words(words)
-    baseline, base_store, pattern, pat_store, _ = _run_phases(
-        wl, hash_text, RS, GenOptions(include_base=True), "md5", 1)
-    assert set(base_store.recovered) <= set(pat_store.recovered)
-    assert pattern.recovered_new >= baseline.recovered_new
+    pot = tmp_path / "pattern.pot"
+    report = run_benchmark(WordList.from_words(words), hash_text, RS, potfile_path=pot)
+    planted = {bytes.fromhex(line) for line in hash_text.split()}
+    baseline = {md5_reference(w.encode("utf-8")) for w in words} & planted
+    recovered = {bytes.fromhex(line.split(":", 1)[0]) for line in pot.read_text().splitlines()}
+    assert len(baseline) == report.baseline_recovered == 30
+    assert baseline < recovered
+    assert report.pattern_recovered == len(recovered) == 55
 
 
 def test_benchmark_patterns_only():
@@ -91,14 +95,15 @@ def test_benchmark_potfile(tmp_path):
 def test_report_json_types():
     words, hash_text, _, _ = planted_corpus(50, 10, 5)
     report = run_benchmark(WordList.from_words(words), hash_text, RS,
-                           ruleset_name="builtin", threads=2)
+                           ruleset_name="builtin")
     doc = json.loads(json.dumps(report.to_dict()))
     for key in ("wordlist_size", "candidate_count", "hash_raw", "hash_unique",
                 "baseline_recovered", "pattern_recovered"):
         assert isinstance(doc[key], int)
     assert doc["uplift_percent"] == "50.0"
     assert isinstance(doc["throughput"]["baseline"], float)
-    assert doc["options"]["threads"] == 2
+    assert list(doc["options"]) == ["include_base", "strict_multi", "dedup",
+                                    "patterns_only", "algorithm"]
     assert doc["ruleset_name"] == "builtin"
     assert doc["started_at"] <= doc["finished_at"]
 

@@ -87,6 +87,21 @@ def test_uncaseable_rule_source_is_input_error(capsys, tmp_path, wordfile):
     assert "line 1" in err
 
 
+def test_reserved_base_rule_id_is_input_error(capsys, tmp_path, wordfile):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("BASE\ta>@,o>0\n")
+    prov = tmp_path / "prov.tsv"
+    code, out, err = run_cli(capsys, "gen", "-w", wordfile, "-r", rules,
+                             "--include-base", "--provenance", prov)
+    assert code == 2
+    assert out == ""
+    assert "line 1" in err and "reserved" in err
+    assert not prov.exists()
+    code, out, _ = run_cli(capsys, "detect", "-p", "p@ssw0rd", "--dict", wordfile, "-r", rules)
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag", [["-t", "2"], ["--chunk-kib", "8"]])
 def test_removed_crack_knobs_are_usage_errors(capsys, tmp_path, wordfile, flag):
     hashes = tmp_path / "h.txt"
@@ -200,6 +215,18 @@ def test_crack_rules_none_tries_base_words_only(capsys, tmp_path, wordfile):
                            "-r", "none")
     assert code == 0
     assert out == ""
+
+
+def test_crack_rules_none_patterns_only_is_usage_error(capsys, tmp_path, wordfile):
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n")
+    pot = tmp_path / "out.pot"
+    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile,
+                             "-r", "none", "--patterns-only", "--potfile", pot)
+    assert code == 1
+    assert out == ""
+    assert "--patterns-only" in err
+    assert not pot.exists()
 
 
 def test_crack_malformed_hashes_is_input_error(capsys, tmp_path, wordfile):
@@ -352,7 +379,7 @@ def test_bench_end_to_end(capsys, tmp_path):
     assert doc["baseline_recovered"] == 10
     assert doc["pattern_recovered"] == 20
     assert doc["uplift_percent"] == "100.0"
-    assert doc["options"]["threads"] == 1
+    assert "threads" not in doc["options"]
     assert json.loads(report_file.read_text()) == doc
     assert "uplift" in err
 

@@ -1,4 +1,4 @@
-"""Wordlist loading, dedup, and stats."""
+"""Wordlist loading, dedup, and per-source counts."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import codecs
 
 import pytest
 
-from leetforge import WordList, WordlistDecodeError, corpus_stats, load_wordlists
+from leetforge import WordList, WordlistDecodeError, load_wordlists
 
 
 def test_raw_counts_per_source():
@@ -68,18 +68,16 @@ def test_from_words_matches_loader_semantics():
 
 
 def test_stats_empty():
-    stats = corpus_stats(load_wordlists([]))
-    assert stats.raw_total == 0
-    assert stats.unique_words == 0
-    assert stats.per_source == ()
+    wl = load_wordlists([])
+    assert wl.sources == ()
+    assert len(wl) == 0
 
 
 def test_stats_totals():
     wl = load_wordlists([("a", "x\ny\n"), ("b", "y\n")])
-    stats = corpus_stats(wl)
-    assert stats.raw_total == 3
-    assert stats.unique_words == 2
-    assert stats.per_source == (("a", 2), ("b", 1))
+    assert sum(n for _, n in wl.sources) == 3
+    assert len(wl) == 2
+    assert wl.sources == (("a", 2), ("b", 1))
 
 
 def test_nine_source_corpus_counts():
@@ -92,7 +90,7 @@ def test_nine_source_corpus_counts():
     }
     inputs = [(name, "\n".join(f"{name[:2]}{i}" for i in range(size)))
               for name, size in sizes.items()]
-    stats = corpus_stats(load_wordlists(inputs))
-    assert stats.raw_total == 1_330_780
-    assert dict(stats.per_source) == sizes
-    assert stats.unique_words == 1_330_780
+    wl = load_wordlists(inputs)
+    assert sum(n for _, n in wl.sources) == 1_330_780
+    assert dict(wl.sources) == sizes
+    assert len(wl) == 1_330_780

@@ -7,10 +7,10 @@ import random
 import string
 
 from leetforge import (BASE_RULE_ID, CharPair, GenOptions, ReplacementRule, RuleSet,
-                       WordList, apply_rule, base_candidates, builtin_rules,
-                       count_candidates, generate, parse_rules)
+                       WordList, apply_rule, base_candidates, builtin_rules, generate,
+                       parse_rules)
 from leetforge.generator import CandidateRecord
-from oracles import brute_force_candidates, generate_reference, mangle_reference
+from oracles import generate_reference, mangle_reference
 
 RS = builtin_rules()
 
@@ -176,9 +176,9 @@ def test_generate_matches_brute_force_small():
             for strict in (False, True):
                 opts = GenOptions(include_base=include_base, strict_multi=strict)
                 records, stats = _records(wl, RS, opts)
-                expected = brute_force_candidates(wl.words, RS,
-                                                  include_base=include_base,
+                reference, _ = generate_reference(wl.words, RS, include_base=include_base,
                                                   strict_multi=strict)
+                expected = {candidate for candidate, _, _ in reference}
                 assert {r.candidate for r in records} == expected
                 assert stats.emitted == len(expected)
 
@@ -228,19 +228,6 @@ def test_generate_matches_ordered_reference_on_mixed_rules():
             assert [tuple(r) for r in records] == expected
             assert stats.to_dict() == counts
     assert paths == {False, True}   # both the byte-table and the str branch ran
-
-
-def test_count_candidates_matches_generate():
-    rng = random.Random(13)
-    for _ in range(10):
-        words = ["".join(rng.choice(string.ascii_lowercase)
-                         for _ in range(rng.randint(1, 8)))
-                 for _ in range(rng.randint(1, 30))]
-        wl = WordList.from_words(words)
-        opts = GenOptions(include_base=rng.random() < 0.5)
-        counted = count_candidates(wl, RS, opts)
-        _, streamed = _records(wl, RS, opts)
-        assert counted == streamed
 
 
 def test_empty_wordlist_generates_nothing():

@@ -90,7 +90,7 @@ def test_mark_recovered_first_wins():
     d = bytes.fromhex(H_CAT)
     assert hs.mark_recovered(d, "cat") is True
     assert hs.mark_recovered(d, "cat") is False
-    assert hs.recovered_count == 1
+    assert len(hs.recovered) == 1
     assert hs.recovered[d] == "cat"
 
 
@@ -100,13 +100,13 @@ def test_mark_recovered_validates():
         hs.mark_recovered(bytes.fromhex(H_DOG), "dog")
     with pytest.raises(HashStoreError, match="does not hash"):
         hs.mark_recovered(bytes.fromhex(H_CAT), "dog")
-    assert hs.recovered_count == 0
+    assert len(hs.recovered) == 0
 
 
 def test_counts_are_monotone():
     hs = load_hashes(f"{H_CAT}\n{H_DOG}\n{H_CAT}\n")
     hs.mark_recovered(bytes.fromhex(H_CAT), "cat")
-    assert hs.recovered_count <= hs.unique_count <= hs.raw_count
+    assert len(hs.recovered) <= hs.unique_count <= hs.raw_count
 
 
 def test_mark_recovered_is_atomic_under_threads():

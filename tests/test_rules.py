@@ -9,9 +9,9 @@ import string
 
 import pytest
 
-from leetforge import (CharPair, ExportError, ReplacementRule, RuleParseError,
-                       RuleSet, apply_rule, builtin_rules, export_hashcat,
-                       parse_rules, serialize_rules)
+from leetforge import (BASE_RULE_ID, CharPair, ExportError, ReplacementRule,
+                       RuleParseError, RuleSet, apply_rule, builtin_rules,
+                       export_hashcat, parse_rules, serialize_rules)
 from oracles import simulate_hashcat_line
 
 
@@ -86,6 +86,15 @@ def test_rule_validation():
         ReplacementRule("X", ())
     with pytest.raises(ValueError):
         ReplacementRule("X", tuple(CharPair(c, "0") for c in "abcd"))
+
+
+def test_base_rule_id_is_reserved():
+    # BASE marks unmangled words in provenance and audit findings
+    with pytest.raises(ValueError, match="reserved"):
+        ReplacementRule(BASE_RULE_ID, (CharPair("a", "@"),))
+    with pytest.raises(RuleParseError, match="line 2.*reserved"):
+        parse_rules("# comment\nBASE\ta>@\n")
+    assert parse_rules("base\ta>@\n")[0].id == "base"
 
 
 def test_ruleset_rejects_duplicate_ids():
