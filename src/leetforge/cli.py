@@ -166,9 +166,9 @@ def _add_wordlist_arg(p):
                    help="wordlist file, one word per line (repeatable)")
 
 
-def _add_rules_arg(p):
+def _add_rules_arg(p, also: str = ""):
     p.add_argument("-r", "--rules", default="builtin", metavar="FILE",
-                   help="rule file, or 'builtin' for the canonical set (default)")
+                   help=f"rule file, or 'builtin' for the canonical set (default){also}")
 
 
 def _add_algorithm_arg(p):
@@ -205,7 +205,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--hashes", required=True, metavar="FILE",
                    help="digest file, one hex digest per line")
     _add_wordlist_arg(p)
-    _add_rules_arg(p)
+    _add_rules_arg(p, also="; 'none' tries the base words only")
     p.add_argument("--patterns-only", action="store_true",
                    help="try only the mangles, not the base words")
     _add_gen_toggles(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections.abc import Collection
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -22,14 +23,16 @@ class HashStore:
     def __init__(self, digests: Iterable[bytes], algorithm: str = "md5",
                  raw_count: int | None = None):
         self.algorithm = algorithm
-        self.digest_width = digest_size(algorithm)
-        digest_set = frozenset(digests)
-        for d in digest_set:
-            if len(d) != self.digest_width:
-                raise HashStoreError(
-                    f"digest width {len(d)} != {self.digest_width} for {algorithm}")
-        self._digests = digest_set
-        self.raw_count = len(digest_set) if raw_count is None else raw_count
+        self.digest_width = width = digest_size(algorithm)
+        if not isinstance(digests, Collection):
+            digests = list(digests)   # a one-shot iterable is walked twice below
+        # Widths are checked before freezing, in the caller's order: over a list
+        # that is one cheap pass, where a walk in hash order is not.
+        if not set(map(len, digests)) <= {width}:
+            bad = next(d for d in digests if len(d) != width)
+            raise HashStoreError(f"digest width {len(bad)} != {width} for {algorithm}")
+        self._digests = frozenset(digests)   # a frozenset is kept, not copied
+        self.raw_count = len(self._digests) if raw_count is None else raw_count
         self._recovered: dict[bytes, str] = {}
         self._lock = threading.Lock()
 
@@ -72,24 +75,38 @@ def load_hashes(text: str | bytes, algorithm: str = "md5") -> HashStore:
 
     Lines are split by read_lines, as word lists are; surrounding whitespace
     (a CR included) is stripped. raw_count keeps the number of non-blank lines
-    seen; malformed lines raise HashFormatError with their line number.
+    seen; malformed lines, whitespace inside a digest included, raise
+    HashFormatError with the number of the first one.
     """
     width = digest_size(algorithm)
-    digests: set[bytes] = set()
-    raw_count = 0
-    for lineno, raw in enumerate(read_lines("digest list", text), 1):
+    lines = read_lines("digest list", text)
+    hexes = list(filter(None, map(str.strip, lines)))
+    # Bulk passes only; when one fails, _bad_line_error walks the lines to name it.
+    if set(map(len, hexes)) <= {2 * width}:
+        try:
+            return HashStore(map(bytes.fromhex, hexes), algorithm, raw_count=len(hexes))
+        except (ValueError, HashStoreError):   # not hex; whitespace inside a digest
+            pass
+    raise _bad_line_error(lines, width)
+
+
+def _bad_line_error(lines: list[str], width: int) -> HashFormatError:
+    """The error for the first line that is not one hex digest of width bytes."""
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
-        raw_count += 1
         if len(line) != 2 * width:
-            raise HashFormatError(
+            return HashFormatError(
                 f"expected {2 * width} hex characters, got {len(line)}: {line!r}", line=lineno)
         try:
-            digests.add(bytes.fromhex(line))
+            digest = bytes.fromhex(line)
         except ValueError:
-            raise HashFormatError(f"not hexadecimal: {line!r}", line=lineno) from None
-    return HashStore(digests, algorithm=algorithm, raw_count=raw_count)
+            return HashFormatError(f"not hexadecimal: {line!r}", line=lineno)
+        if len(digest) != width:
+            # bytes.fromhex skips whitespace between byte pairs
+            return HashFormatError(f"whitespace inside the digest: {line!r}", line=lineno)
+    raise AssertionError("a bulk check failed on a well-formed digest list")
 
 
 def format_potfile(hs: HashStore) -> str:

@@ -134,3 +134,35 @@ def deleet_reference(password, rules):
         if base != password and mangle_reference(base, rule) == password:
             findings.append((base, rule.id))
     return findings
+
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_DIGEST_WIDTHS = {"md5": 16, "sha1": 20, "sha256": 32}
+
+
+def load_hashes_reference(data, algorithm="md5"):
+    """(digest_set, raw_count, unique_count) of a digest list, or a line's error.
+
+    Same contract as load_hashes, without bytes.fromhex or int(x, 16) (both
+    have their own whitespace and digit rules): a non-blank line, stripped,
+    must be exactly 2 * width ASCII hex digits, decoded nibble by nibble.
+    The first line that is not raises HashFormatError with its number.
+    """
+    from leetforge.errors import HashFormatError
+
+    width = _DIGEST_WIDTHS[algorithm]
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    digests = set()
+    raw_count = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        raw_count += 1
+        if len(line) != 2 * width or any(ch not in _HEX_DIGITS for ch in line):
+            raise HashFormatError("not a digest", line=lineno)
+        nibbles = [_HEX_DIGITS.index(ch.lower()) for ch in line]
+        digests.add(bytes(hi * 16 + lo for hi, lo in zip(nibbles[::2], nibbles[1::2])))
+    return frozenset(digests), raw_count, len(digests)

@@ -237,6 +237,22 @@ def test_crack_malformed_hashes_is_input_error(capsys, tmp_path, wordfile):
     assert "line 1" in err
 
 
+def test_crack_digest_with_inner_whitespace_is_input_error(capsys, tmp_path, wordfile):
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n"
+                      "0011 2233445566778899aabbccdd ee\n")
+    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile)
+    assert code == 2
+    assert out == ""
+    assert "line 2: whitespace inside the digest" in err
+
+
+def test_crack_help_names_rules_none(capsys):
+    code, out, _ = run_cli(capsys, "crack", "--help")
+    assert code == 0
+    assert "'none' tries the base words only" in " ".join(out.split())
+
+
 @pytest.mark.parametrize("input_kind", ["digest list", "rule file"])
 def test_invalid_utf8_input_is_input_error_with_line(capsys, tmp_path, wordfile, input_kind):
     bad = tmp_path / "bad.txt"
