@@ -9,7 +9,7 @@ from pathlib import Path
 from .corpus import WordList
 from .cracker import crack
 from .generator import GenOptions, base_candidates, generate
-from .hashstore import HashStore, format_potfile, load_hashes
+from .hashstore import format_potfile, load_hashes
 from .rules import RuleSet
 
 
@@ -67,11 +67,11 @@ def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet,
     gen_opts = GenOptions(include_base=not patterns_only,
                           strict_multi=opts.strict_multi, dedup=opts.dedup)
     started = _utcnow()
-    # The digest list is parsed once; each phase matches into a fresh store.
+    # The digest list is parsed and checked once; each phase matches into a
+    # fresh store over the same digests.
     baseline_store = load_hashes(hash_source, algorithm)
     baseline = crack(baseline_store, base_candidates(wl))
-    pattern_store = HashStore(baseline_store.digest_set, algorithm,
-                              raw_count=baseline_store.raw_count)
+    pattern_store = baseline_store.fresh()
     stream = generate(wl, rs, gen_opts)
     pattern = crack(pattern_store, stream)
     finished = _utcnow()

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .bench import format_report_table, run_benchmark
 from .corpus import load_wordlist_files, read_lines
@@ -103,19 +105,49 @@ def cmd_crack(args) -> int:
     return EXIT_OK
 
 
+def _stdin_passwords() -> Iterator[str]:
+    """Passwords from stdin, one per line, as the lines arrive.
+
+    Each read takes what the pipe holds; its complete lines are decoded
+    together (see read_lines) before the first of them is yielded, so a bad
+    byte stops the run before any line that arrived with it is audited.
+    """
+    stream = sys.stdin.buffer
+    pending = bytearray()
+    first_line = 1
+    while True:
+        chunk = stream.read1()
+        pending += chunk
+        if chunk:
+            newline = chunk.rfind(b"\n")
+            if newline < 0:
+                continue
+            cut = len(pending) - len(chunk) + newline + 1
+        else:
+            cut = len(pending)   # the stream ended: the rest is the last line
+        piece = bytes(pending[:cut])
+        del pending[:cut]
+        for line in read_lines("stdin", piece, first_line):
+            if line.strip():
+                yield line.rstrip("\r")
+        first_line += piece.count(b"\n")
+        if not chunk:
+            return
+
+
 def cmd_detect(args) -> int:
     rs = _load_rules(args.rules)
     dictionary = load_wordlist_files([args.dict])
-    passwords = list(args.password or [])
-    if args.stdin:
-        passwords += [line.rstrip("\r") for line in read_lines("stdin", sys.stdin.buffer.read())
-                      if line.strip()]
-    if not passwords:
+    passwords = itertools.chain(args.password or [], _stdin_passwords() if args.stdin else [])
+    audited = 0
+    for pw in passwords:
+        sys.stdout.write(json.dumps(audit(pw, rs, dictionary).to_dict()) + "\n")
+        sys.stdout.flush()
+        audited += 1
+    if not audited:
         print("leetforge detect: no passwords given "
               "(use --password or --stdin)", file=sys.stderr)
         return EXIT_USAGE
-    for pw in passwords:
-        print(json.dumps(audit(pw, rs, dictionary).to_dict()))
     return EXIT_OK
 
 

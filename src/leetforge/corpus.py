@@ -25,10 +25,40 @@ class WordList:
 
     @cached_property
     def _casefolded(self) -> frozenset[str]:
-        return frozenset(w.casefold() for w in self.words)
+        # frozenset() sizes its table once for a dict; fed an iterator it
+        # grows it fourfold at a time and ends up twice as large
+        return frozenset(dict.fromkeys(map(_shared_casefold, self.words)))
 
     def contains_casefold(self, word: str) -> bool:
         return word.casefold() in self._casefolded
+
+    @cached_property
+    def _fold_indexes(self) -> dict[int, tuple[dict, dict]]:
+        return {}
+
+    def fold_index(self, fold: dict[int, int | None]) -> dict[str, str | list[str]]:
+        """word.casefold().translate(fold) -> the casefolded words with that key.
+
+        A key with one word maps to the bare string, one with more to a list in
+        first-occurrence order. Built on first use for each fold table and
+        kept, keyed by the table's identity (the table is kept with it, so the
+        identity is not reused).
+        """
+        cached = self._fold_indexes.get(id(fold))
+        if cached is None:
+            index: dict[str, str | list[str]] = {}
+            for folded in map(_shared_casefold, self.words):
+                key = folded.translate(fold)
+                held = index.get(key)
+                if held is None:
+                    index[key] = folded
+                elif isinstance(held, str):
+                    if held != folded:
+                        index[key] = [held, folded]
+                elif folded not in held:
+                    held.append(folded)
+            cached = self._fold_indexes[id(fold)] = (fold, index)
+        return cached[1]
 
     @classmethod
     def from_words(cls, words: Iterable[str], source: str = "memory") -> "WordList":
@@ -37,19 +67,31 @@ class WordList:
         return cls(tuple(dict.fromkeys(words)), ((source, len(words)),))
 
 
-def read_lines(source: str, data: str | bytes) -> list[str]:
+def _shared_casefold(word: str) -> str:
+    """word.casefold(), or word itself when folding leaves it unchanged, so
+    the cached casefolds of a mostly lowercase list share its strings."""
+    folded = word.casefold()
+    return word if folded == word else folded
+
+
+def read_lines(source: str, data: str | bytes, first_line: int = 1) -> list[str]:
     r"""Decode bytes as UTF-8 once and split at "\n" only (not at \x0b, \x85, ...).
 
     A leading BOM is dropped; invalid UTF-8 raises WordlistDecodeError with the
     line number. Lines keep their CRs: each caller applies its own line rule.
+    data may be a later piece of a stream that starts at line first_line:
+    line numbers count from there, and only the stream's start drops a BOM.
     """
     if isinstance(data, bytes):
         # plain UTF-8, not utf-8-sig: a BOM decodes to U+FEFF and offsets stay byte offsets
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise WordlistDecodeError(source, data.count(b"\n", 0, exc.start) + 1) from None
-    return data.removeprefix("\ufeff").split("\n")
+            raise WordlistDecodeError(
+                source, first_line + data.count(b"\n", 0, exc.start)) from None
+    if first_line == 1:
+        data = data.removeprefix("\ufeff")
+    return data.split("\n")
 
 
 def load_wordlists(inputs: Iterable[tuple[str, str | bytes]]) -> WordList:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import WordList
@@ -33,41 +34,108 @@ class DetectionResult:
         }
 
 
-def deleet(password: str, rs: RuleSet) -> list[Finding]:
-    """Per-rule exact inversion under replace-all semantics.
+def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
+    """Every (base, rule) with apply_rule(base, rule) == password and the base
+    a dictionary word (case-insensitive), one base per rule and word.
 
-    Each rule maps its replacement characters back to their sources (see
-    inverse_translation); the reconstruction only counts when re-applying the
-    rule reproduces the password exactly, which rejects passwords that still
-    contain a source character the rule would have replaced. A rule is only
-    tried when its inverse_screen admits the password's characters. At most
-    one finding per rule; no dictionary filtering here.
+    Only the password's bucket in the dictionary's fold index (see
+    RuleSet.fold) can hold a base; when it is empty no rule is tried. Where a
+    bucket word and the password line up, the rules tried for the word are
+    those that turn every differing character of the word into the
+    password's (RuleSet.rules_by_fold_pair). Each that also passes its
+    inverse_screen rebuilds the base, and the base counts only when
+    re-applying the rule reproduces the password. Findings come in rule
+    order, then dictionary order.
+
+    Of the bases that casefold to a word, the one reported takes at each
+    position the most preferred preimage of the password's character (see
+    ReplacementRule.fold_preimages), the first position deciding: the
+    password's own character, then a lowercase source, then other cases.
     """
+    fold = rs.fold
+    folded = password.casefold()
+    bucket = dictionary.fold_index(fold).get(folded.translate(fold))
+    if bucket is None:
+        return []
+    by_pair = rs.rules_by_fold_pair
+    tries = []
+    for word in (bucket,) if isinstance(bucket, str) else bucket:
+        if len(word) == len(password) == len(folded):
+            need = {c + d for c, e, d in zip(password, folded, word) if e != d}
+            if need:
+                rules = frozenset.intersection(*[by_pair.get(q, frozenset()) for q in need])
+            else:   # the base differs only in case, by a character the rule changes
+                rules = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
+        else:
+            need, rules = None, range(len(rs))
+        tries += [(i, word, need) for i in rules]
+    tries.sort(key=itemgetter(0))
     chars = set(password)
     findings = []
-    for rule in rs:
+    for i, word, need in tries:
+        rule = rs[i]
         replacements, blocking = rule.inverse_screen
         if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
             continue
-        base = password.translate(rule.inverse_translation)
-        if base == password:
-            continue
-        if apply_rule(base, rule) == password:
+        if need:
+            # Each position takes its first preimage with the word's casefold
+            # there; a character no pair emits stays.
+            inverse = rule.fold_inverse
+            base = "".join([inverse.get(c + d, c) for c, d in zip(password, word)])
+            if base == word:
+                base = word   # share the dictionary's string
+        else:
+            base = _search_base(password, word, rule.fold_preimages)
+        if base is not None and apply_rule(base, rule) == password:
             findings.append(Finding(base, rule.id))
     return findings
 
 
-def audit(password: str, rs: RuleSet, dictionary: WordList) -> DetectionResult:
-    """Keep deleet findings whose base occurs in the dictionary (case-insensitive).
+def _search_base(password: str, word: str,
+                 preimages: dict[str, tuple[tuple[str, str], ...]]) -> str | None:
+    """The base deleet reports for a rule and word, or None, where the
+    password and word need not line up: casefolds may change length
+    (ß -> ss), or the base may differ from the password only in case.
 
-    A password that is itself a dictionary word is flagged with rule id BASE.
+    A search over (position, offset into word, differs from the password
+    yet) states; preimages holds the rule's fold_preimages, and any other
+    character is its own only preimage.
+    """
+    n, m = len(password), len(word)
+    options = [preimages.get(c) or ((c, c.casefold()),) for c in password]
+
+    def steps(i: int, k: int, changed: bool):
+        for x, f in options[i]:
+            if word.startswith(f, k):
+                yield x, (k + len(f), changed or x != password[i])
+
+    # reach[i]: the states at position i that a prefix of word reaches
+    reach = [{(0, False)}]
+    for i in range(n):
+        reach.append({s for state in reach[i] for _, s in steps(i, *state)})
+    # live[i]: those from which the rest of word can be matched, with a change
+    live = [reach[n] & {(m, True)}]
+    for i in reversed(range(n)):
+        live.append({state for state in reach[i]
+                     if any(s in live[-1] for _, s in steps(i, *state))})
+    live.reverse()
+    if not live[0]:
+        return None
+    out, state = [], (0, False)
+    for i in range(n):
+        x, state = next((x, s) for x, s in steps(i, *state) if s in live[i + 1])
+        out.append(x)
+    return "".join(out)
+
+
+def audit(password: str, rs: RuleSet, dictionary: WordList) -> DetectionResult:
+    """deleet's findings, plus rule id BASE when the password is itself a
+    dictionary word (case-insensitive).
+
     Findings come back unique, sorted by (rule_id, base_word).
     """
-    found = set()
+    findings = deleet(password, rs, dictionary)
     if dictionary.contains_casefold(password):
-        found.add(Finding(password, BASE_RULE_ID))
-    for finding in deleet(password, rs):
-        if dictionary.contains_casefold(finding.base_word):
-            found.add(finding)
-    ordered = tuple(sorted(found, key=lambda f: (f.rule_id, f.base_word)))
-    return DetectionResult(password, ordered)
+        findings.append(Finding(password, BASE_RULE_ID))
+    findings.sort(key=lambda f: (f.rule_id, f.base_word))
+    return DetectionResult(password, tuple(findings))

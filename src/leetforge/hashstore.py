@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections.abc import Collection
 from types import MappingProxyType
@@ -35,6 +36,17 @@ class HashStore:
         self.raw_count = len(self._digests) if raw_count is None else raw_count
         self._recovered: dict[bytes, str] = {}
         self._lock = threading.Lock()
+
+    def fresh(self) -> "HashStore":
+        """A store over the same digests with nothing recovered.
+
+        The digest set is shared, not copied or checked again: this store
+        checked it when it was built.
+        """
+        store = copy.copy(self)
+        store._recovered = {}
+        store._lock = threading.Lock()
+        return store
 
     @property
     def digest_set(self) -> frozenset[bytes]:

@@ -136,18 +136,34 @@ class ReplacementRule:
         return table
 
     @cached_property
-    def inverse_translation(self) -> dict[int, str]:
-        """Replacement characters mapped back to their sources.
+    def fold_preimages(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Each replacement character mapped to its preimages, with their casefolds.
 
-        Each maps back to source.lower() when the pair replaces that
-        character, else to the source as written: a case-sensitive uppercase
-        source, or a titlecase one such as U+01C5, whose swapcase is itself.
+        The preimages are the characters the rule turns into it, plus the
+        character itself when the rule leaves it alone. The character itself
+        comes first, then lowercase before other cases, then by code point:
+        a case-insensitive pair inverts to source.lower() when it replaces
+        that character, a case-sensitive or titlecase source (U+01C5, whose
+        swapcase is itself) to the source as written.
         """
+        sources: dict[str, list[str]] = {}
+        for code, replacement in self.translation.items():
+            sources.setdefault(replacement, []).append(chr(code))
         table = {}
-        for p in self.pairs:
-            lower = p.source.lower()
-            table[ord(p.replacement)] = (
-                lower if lower in _claimed(p, self.case_insensitive) else p.source)
+        for replacement, chars in sources.items():
+            if ord(replacement) not in self.translation:
+                chars.append(replacement)
+            chars.sort(key=lambda ch: (ch != replacement, ch != ch.lower(), ch))
+            table[replacement] = tuple((ch, ch.casefold()) for ch in chars)
+        return table
+
+    @cached_property
+    def fold_inverse(self) -> dict[str, str]:
+        """c + f -> the first of fold_preimages[c] whose casefold is f."""
+        table: dict[str, str] = {}
+        for c, options in self.fold_preimages.items():
+            for x, f in options:
+                table.setdefault(c + f, x)
         return table
 
     @cached_property
@@ -156,7 +172,7 @@ class ReplacementRule:
 
         A password can be this rule's output only if it holds a replacement
         character and no blocking character: one the rule replaces that is not
-        also a replacement, since inverting keeps it and re-applying changes it.
+        also a replacement, since no character turns into it.
         """
         replacements = frozenset(p.replacement for p in self.pairs)
         return replacements, frozenset(map(chr, self.translation)) - replacements
@@ -218,6 +234,59 @@ class RuleSet:
 
     def _of_arity(self, n: int) -> "RuleSet":
         return RuleSet(tuple(r for r in self.rules if len(r.pairs) == n))
+
+    @cached_property
+    def fold(self) -> dict[int, int | None]:
+        """str.translate table that folds casefolded text the same way for every rule.
+
+        A union-find over the characters the rules touch: the casefold of each
+        character a rule replaces joins the casefold of its replacement, and
+        each class maps to its smallest member. So apply_rule(b, r) == p gives
+        b.casefold().translate(fold) == p.casefold().translate(fold) for every
+        rule r, and a dictionary indexed by that key holds every base of p in
+        p's bucket. A class holding part of a casefold longer than one
+        character (ß -> ss, U+1F88 -> two) is deleted from the key instead,
+        since no one-for-one map lines ss up with one character.
+        """
+        parent: dict[str, str] = {}
+
+        def find(ch: str) -> str:
+            while parent.setdefault(ch, ch) != ch:
+                ch = parent[ch]
+            return ch
+
+        deleted = []
+        for rule in self.rules:
+            for code, replacement in rule.translation.items():
+                linked = chr(code).casefold() + replacement.casefold()
+                roots = {find(ch) for ch in linked}
+                root = min(roots)
+                for other in roots:
+                    parent[other] = root
+                if len(linked) > 2:
+                    deleted.append(root)
+        deleted_roots = {find(ch) for ch in deleted}
+        table: dict[int, int | None] = {}
+        for ch in parent:
+            root = find(ch)
+            if root in deleted_roots:
+                table[ord(ch)] = None
+            elif root != ch:
+                table[ord(ch)] = ord(root)
+        return table
+
+    @cached_property
+    def rules_by_fold_pair(self) -> dict[str, frozenset[int]]:
+        """c + f -> the indexes of the rules that turn a character other than
+        c whose casefold is f into c: where a base casefolding to f stands
+        under c in the password, only these rules can have made it."""
+        table: dict[str, set[int]] = {}
+        for i, rule in enumerate(self.rules):
+            for c, options in rule.fold_preimages.items():
+                for x, f in options:
+                    if x != c:
+                        table.setdefault(c + f, set()).add(i)
+        return {pair: frozenset(ids) for pair, ids in table.items()}
 
     @cached_property
     def singles(self) -> "RuleSet":

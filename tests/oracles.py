@@ -6,6 +6,7 @@ package (no str.translate, no hashlib) so a shared bug cannot hide.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 
@@ -104,36 +105,36 @@ def simulate_hashcat_line(line: str, word: str) -> str:
     return out
 
 
-def preimage_reference(ch, rule):
-    """The character the rule's inverse puts back for ch, read from its pairs.
+def audit_reference(password, rules, words):
+    """audit's findings by brute force: (base, rule_id) pairs sorted by
+    (rule_id, base), with (password, "BASE") when the password is a word.
 
-    A replacement maps back to a character its pair replaces: the lowercase
-    one when the pair replaces one (so A>4 inverts 4 to a), else the source as
-    written (a case-sensitive A, a titlecase letter). A replacement shared by
-    two pairs maps back through the later pair; ch stays when no pair emits it.
+    For each rule, a position's preimages are the characters, among the
+    password's own and every source in both cases, that mangle_reference
+    turns into the password's character there. Each base in their product
+    that mangle_reference maps to the password and whose casefold is a
+    word's casefold counts. Of the bases sharing a casefold the first in the
+    product counts, with each position's preimages in preference order: the
+    password's own character, then lowercase ones, then by code point.
     """
-    for p in reversed(rule.pairs):
-        if ch == p.replacement:
-            replaced = [p.source]
-            if rule.case_insensitive:
-                replaced.append(p.source.swapcase())
-            lowercase = [c for c in replaced if c == c.lower()]
-            return lowercase[0] if lowercase else p.source
-    return ch
-
-
-def deleet_reference(password, rules):
-    """Unscreened inversion: every rule, char-by-char preimage, mangle_reference check.
-
-    Same contract as deleet: (base, rule_id) per rule whose inverse changes the
-    password and whose re-application reproduces it exactly, in rule order.
-    """
-    findings = []
+    folded = {w.casefold() for w in words}
+    found = []
+    if password.casefold() in folded:
+        found.append((password, "BASE"))
     for rule in rules:
-        base = "".join(preimage_reference(ch, rule) for ch in password)
-        if base != password and mangle_reference(base, rule) == password:
-            findings.append((base, rule.id))
-    return findings
+        chars = {p.source for p in rule.pairs} | {p.source.swapcase() for p in rule.pairs}
+        options = []
+        for ch in password:
+            pre = [x for x in chars | {ch} if (mangle_reference(x, rule) or x) == ch]
+            options.append(sorted(pre, key=lambda x, ch=ch: (x != ch, x != x.lower(), x)))
+        seen = set()
+        for combo in itertools.product(*options):
+            base = "".join(combo)
+            key = base.casefold()
+            if key in folded and key not in seen and mangle_reference(base, rule) == password:
+                seen.add(key)
+                found.append((base, rule.id))
+    return sorted(found, key=lambda f: (f[1], f[0]))
 
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"

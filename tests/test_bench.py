@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from leetforge import WordList, builtin_rules, run_benchmark, uplift
+from leetforge import WordList, bench, builtin_rules, crack, run_benchmark, uplift
 from leetforge.bench import format_report_table
 from oracles import md5_reference
 from synthetic import planted_corpus
@@ -30,6 +30,23 @@ def test_benchmark_synthetic_counts():
     assert report.pattern_recovered == 20
     assert report.uplift_percent == 100.0
     assert report.options["include_base"] is True
+
+
+def test_benchmark_pattern_store_shares_the_parsed_set(monkeypatch):
+    stores = []
+
+    def spy(store, candidates, **kwargs):
+        stores.append(store)
+        return crack(store, candidates, **kwargs)
+
+    monkeypatch.setattr(bench, "crack", spy)
+    words, hash_text, _, _ = planted_corpus(100, 10, 10)
+    report = run_benchmark(WordList.from_words(words), hash_text, RS)
+    baseline_store, pattern_store = stores
+    assert pattern_store is not baseline_store
+    assert pattern_store.digest_set is baseline_store.digest_set
+    assert (report.baseline_recovered, report.pattern_recovered) == (10, 20)
+    assert len(baseline_store.recovered) == 10 and len(pattern_store.recovered) == 20
 
 
 def test_benchmark_pattern_includes_baseline(tmp_path):

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,62 @@ def test_detect_stdin_invalid_utf8_is_input_error(wordfile):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"stdin, line 2: invalid UTF-8" in proc.stderr
+
+
+def test_detect_stdin_streams_each_line(wordfile):
+    # the first JSON line comes out while stdin is still open
+    proc = subprocess.Popen([sys.executable, "-m", "leetforge.cli", "detect", "--dict",
+                             str(wordfile), "--stdin"], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    try:
+        proc.stdin.write(b"p@ssw0rd\n")
+        proc.stdin.flush()
+        first = []
+        reader = threading.Thread(target=lambda: first.append(proc.stdout.readline()))
+        reader.start()
+        reader.join(timeout=60)
+        assert not reader.is_alive(), "no output before stdin closed"
+        assert json.loads(first[0])["password"] == "p@ssw0rd"
+        proc.stdin.write(b"zzz\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+        assert json.loads(proc.stdout.read())["password"] == "zzz"
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+class _Pieces(io.RawIOBase):
+    """A byte stream whose reads return the given pieces one by one."""
+
+    def __init__(self, pieces):
+        self._pieces = list(pieces)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self._pieces:
+            return 0
+        piece = self._pieces.pop(0)
+        buffer[:len(piece)] = piece
+        return len(piece)
+
+
+def test_detect_stdin_lines_split_across_reads(capsys, monkeypatch, wordfile):
+    # a line split between reads is one password; the BOM is dropped only at
+    # the start of the stream; line numbers count across reads
+    pieces = [b"\xef\xbb\xbfp@ss", b"w0rd\r\n\xef\xbb\xbfzz", b"z\n \n", b"dr4gon\np\xff\n"]
+    stdin = io.TextIOWrapper(io.BufferedReader(_Pieces(pieces)), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "detect", "--dict", wordfile, "--stdin")
+    assert code == 2
+    assert "stdin, line 5: invalid UTF-8" in err
+    # the lines that arrived before the bad read were audited
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [d["password"] for d in docs] == ["p@ssw0rd", "\ufeffzzz"]
 
 
 def test_export_rules_builtin(capsys):

@@ -8,36 +8,39 @@ import sys
 
 from leetforge import (CharPair, ReplacementRule, RuleSet, WordList, apply_rule, audit,
                        builtin_rules, deleet, parse_rules)
-from oracles import deleet_reference
+from oracles import audit_reference
 
 RS = builtin_rules()
 TOP5 = RS.top5
 
 
 def test_deleet_finds_single_substitution():
-    findings = deleet("tiff@ny", TOP5)
+    findings = deleet("tiff@ny", TOP5, WordList.from_words(["tiffany"]))
     assert ("tiffany", "S5") in findings
 
 
 def test_deleet_finds_o_to_zero():
-    findings = deleet("pe0ple", TOP5)
+    findings = deleet("pe0ple", TOP5, WordList.from_words(["people"]))
     assert ("people", "S28") in findings
 
 
 def test_deleet_plain_word_yields_nothing():
-    assert deleet("abcdef", RS) == []
+    assert deleet("abcdef", RS, WordList.from_words(["abcdef", "ABCDEF"])) == []
 
 
 def test_deleet_rejects_leftover_source_chars():
-    # "a@b" still contains an 'a' the rule would have replaced, so inverting
-    # @->a gives "aab" which re-applies to "@@b" != "a@b": no finding.
+    # "a@b" still contains an 'a' the rule would have replaced, so no base
+    # maps to it: "aab" re-applies to "@@b" != "a@b".
     rule = parse_rules("X\ta>@\n")
-    assert deleet("a@b", rule) == []
-    assert deleet("@b", rule) == [("ab", "X")]
+    dictionary = WordList.from_words(["aab", "ab"])
+    assert deleet("a@b", rule, dictionary) == []
+    assert deleet("@b", rule, dictionary) == [("ab", "X")]
 
 
 def test_deleet_at_most_one_finding_per_rule():
-    findings = deleet("p@ssw0rd", RS)
+    # the three spellings share one casefold, so each rule finds one base
+    dictionary = WordList.from_words(["password", "Password", "PASSWORD"])
+    findings = deleet("p@ssw0rd", RS, dictionary)
     ids = [rule_id for _, rule_id in findings]
     assert len(ids) == len(set(ids))
     assert len(findings) <= len(RS)
@@ -47,15 +50,18 @@ def test_deleet_at_most_one_finding_per_rule():
 def test_deleet_reconstructs_lowercase_sources():
     # the replacement digit maps back to a lowercase letter, and the
     # case-insensitive re-application still verifies
-    findings = deleet("SK8TER", RS)
+    findings = deleet("SK8TER", RS, WordList.from_words(["skater"]))
     assert ("SKaTER", "S4") in findings
 
 
 def test_deleet_inverts_case_sensitive_uppercase_source():
     rs = parse_rules("X\tA>4\tcs\n")
     assert apply_rule("ABC", rs.by_id("X")) == "4BC"
-    assert deleet("4BC", rs) == [("ABC", "X")]
-    assert audit("4BC", rs, WordList.from_words(["ABC"])).findings == (("ABC", "X"),)
+    dictionary = WordList.from_words(["ABC"])
+    assert deleet("4BC", rs, dictionary) == [("ABC", "X")]
+    assert audit("4BC", rs, dictionary).findings == (("ABC", "X"),)
+    # the lowercase "abc" is the dictionary word too, but "a" is not a source
+    assert deleet("4bc", rs, dictionary) == [("Abc", "X")]
 
 
 def test_deleet_inverts_titlecase_sources():
@@ -69,65 +75,152 @@ def test_deleet_inverts_titlecase_sources():
             word = source + "a" + source.lower()
             mangled = apply_rule(word, rs.by_id("X"))
             assert mangled == "xa" + source.lower()
-            assert deleet(mangled, rs) == [(word, "X")]
-            assert audit(mangled, rs, WordList.from_words([word])).findings == ((word, "X"),)
+            dictionary = WordList.from_words([word])
+            assert deleet(mangled, rs, dictionary) == [(word, "X")]
+            assert audit(mangled, rs, dictionary).findings == ((word, "X"),)
+            assert _audit_as_reference(mangled, rs, [word]) == 1
 
 
 def _random_custom_rules(rng, n):
     """n rules over a small pool, so chains (a>b,b>1), shared replacements
-    (a>1,i>1), case-sensitive uppercase sources, A>a, non-ASCII pairs and a
-    titlecase source recur."""
-    pool = "abiAB1@" + "\u00e9\u00c9\u20ac\u01c5"   # é É € ǅ
+    (a>1,i>1), case-sensitive uppercase sources, A>a, non-ASCII pairs, a
+    titlecase source and casefolds longer than one character (ß, ẞ, İ)
+    recur."""
+    pool = "abiAB1@" + "\u00e9\u00c9\u20ac\u01c5\u00df\u1e9e\u0130"   # é É € ǅ ß ẞ İ
     rules = []
     while len(rules) < n:
         try:
             pairs = tuple(CharPair(*rng.sample(pool, 2)) for _ in range(rng.randint(1, 3)))
             rules.append(ReplacementRule(f"C{len(rules)}", pairs,
                                          case_insensitive=rng.random() < 0.5))
-        except ValueError:   # a repeated source character
+        except ValueError:   # a repeated source character, or one with no one-character swapcase
             continue
     return RuleSet(tuple(rules))
 
 
-def _assert_matches_reference(pw, rs):
-    want = deleet_reference(pw, rs)
-    assert deleet(pw, rs) == want
-    bases = [base for base, _ in want]
-    expected = set(want)
-    if pw.casefold() in {b.casefold() for b in bases}:
-        expected.add((pw, "BASE"))
-    assert audit(pw, rs, WordList.from_words(bases)).findings == tuple(
-        sorted(expected, key=lambda f: (f[1], f[0])))
+def _audit_as_reference(pw, rs, words):
+    """Check audit and deleet against audit_reference; return the finding count."""
+    want = audit_reference(pw, rs, words)
+    dictionary = WordList.from_words(words)
+    assert audit(pw, rs, dictionary).findings == tuple(want)
+    got = deleet(pw, rs, dictionary)
+    assert sorted(got, key=lambda f: (f[1], f[0])) == [f for f in want if f[1] != "BASE"]
     return len(want)
+
+
+def _case_noise(rng, word):
+    return "".join(c.swapcase() if rng.random() < 0.3 and len(c.swapcase()) == 1 else c
+                   for c in word)
 
 
 def test_deleet_and_audit_match_unscreened_reference():
     rng = random.Random(33)
     named = parse_rules("chain\ta>b,b>c\nshared\ta>1,i>1\nupper\tA>4,B>8\tcs\n"
-                        "fold\tA>a\nwide\t\u00e9>\u20ac,\u00c9>e\tcs\n")
+                        "fold\tA>a\nwide\t\u00e9>\u20ac,\u00c9>e\tcs\n"
+                        "sharp\t\u00df>s\tcs\ndotted\t\u0130>1\tcs\nlig\t\ufb01>f\tcs\n")
     found = 0
     for rs in [RS, named] + [_random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
-        # passwords from the rules' own characters, plus forward mangles
+        # words and passwords from the rules' own characters, plus forward mangles
         chars = sorted({c for r in rs for p in r.pairs
                         for c in (p.source, p.source.swapcase(), p.replacement)} | {"x"})
-        for _ in range(40):
-            word = "".join(rng.choice(chars) for _ in range(rng.randint(1, 8)))
-            found += _assert_matches_reference(word, rs)
-            mangled = apply_rule(word, rs[rng.randrange(len(rs))])
+        words = ["".join(rng.choice(chars) for _ in range(rng.randint(1, 5)))
+                 for _ in range(12)]
+        for _ in range(25):
+            pw = "".join(rng.choice(chars) for _ in range(rng.randint(1, 5)))
+            found += _audit_as_reference(pw, rs, words)
+            mangled = apply_rule(_case_noise(rng, rng.choice(words)), rs[rng.randrange(len(rs))])
             if mangled is not None:
-                found += _assert_matches_reference(mangled, rs)
-    assert found > 10000
-    assert deleet("cb", named) == [("ba", "chain")]
+                found += _audit_as_reference(mangled, rs, words)
+    assert found > 5000
+    assert deleet("cb", named, WordList.from_words(["BA"])) == [("ba", "chain")]
+    assert deleet("ab", named, WordList.from_words(["ab"])) == [("Ab", "fold")]
 
 
 def test_deleet_verification_is_sound():
     rng = random.Random(31)
     alphabet = string.ascii_lowercase + "018@$!"
-    for _ in range(2000):
-        pw = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
-        for base, rule_id in deleet(pw, RS):
+    words = ["".join(rng.choice(string.ascii_lowercase + "01") for _ in range(rng.randint(3, 6)))
+             for _ in range(400)]
+    dictionary = WordList.from_words(words)
+    folded = {w.casefold() for w in words}
+    checked = 0
+    for i in range(2000):
+        if i % 2:
+            pw = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
+        else:
+            pw = apply_rule(rng.choice(words), RS[rng.randrange(len(RS))]) or "x"
+        for base, rule_id in deleet(pw, RS, dictionary):
             assert apply_rule(base, RS.by_id(rule_id)) == pw
-            assert base != pw
+            assert base != pw and base.casefold() in folded
+            checked += 1
+    assert checked > 1000
+
+
+def test_audit_finds_bases_holding_replacement_characters():
+    # admin1 already holds the 1 that i>1 emits; the rules that invert only
+    # i (and leave the 1 alone) find it, a rule that also inverts a or n does not
+    dictionary = WordList.from_words(["admin1", "adm1n1x"])
+    result = audit("adm1n1", RS, dictionary)
+    assert result.findings == (("admin1", "D5"), ("admin1", "D6"),
+                               ("admin1", "S19"), ("admin1", "T6"))
+    assert _audit_as_reference("adm1n1", RS, ["admin1", "adm1n1x"]) == 4
+    assert audit("4dm1n1", RS, dictionary).findings == ()
+
+
+def test_audit_casefolds_that_change_length():
+    # ß, ﬁ and İ casefold to two characters, so the base and its casefold
+    # do not line up position by position with the password
+    cases = [
+        ("sharp\t\u00df>s\tcs\n", "stra\u00dfe", ["STRASSE"]),      # straße -> strase
+        ("up\t\u1e9e>5\n", "STRA\u00dfE", ["strasse"]),              # ẞ and ß both -> 5
+        ("lig\t\ufb01>f\tcs\n", "\ufb01sh", ["FISH"]),                # ﬁsh -> fsh
+        ("dot\t\u0130>1\tcs\n", "\u0130stanbul", ["i\u0307stanbul"]),  # İstanbul -> 1stanbul
+        ("s5\ts>5\n", "stra\u00dfe", ["strasse"]),                     # 5traße: ß stays
+    ]
+    for rule_text, base, words in cases:
+        rs = parse_rules(rule_text)
+        mangled = apply_rule(base, rs[0])
+        assert mangled is not None and len(mangled) == len(base)
+        assert len(mangled.casefold()) != len(words[0]) or len(base.casefold()) != len(base)
+        dictionary = WordList.from_words(words)
+        assert deleet(mangled, rs, dictionary) == [(base, rs[0].id)], rule_text
+        assert _audit_as_reference(mangled, rs, words) >= 1
+    # a bucket word whose casefold lines up but with a two-character fold elsewhere
+    rs = parse_rules("sharp\t\u00df>x\tcs\n")
+    assert deleet("strasxe", rs, WordList.from_words(["strassse"])) == [("strasße", "sharp")]
+
+
+def test_audit_when_fold_collapses_the_alphabet():
+    # a>b, b>c, ..., z>a: every letter falls in one fold class, so the index
+    # keys by length only and each bucket holds every word of that length
+    letters = string.ascii_lowercase
+    rs = parse_rules("".join(f"R{i}\t{a}>{b}\n"
+                             for i, (a, b) in enumerate(zip(letters, letters[1:] + "a"))))
+    assert len(set(rs.fold.values())) == 1
+    rng = random.Random(34)
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(2, 4))) for _ in range(60)]
+    dictionary = WordList.from_words(words)
+    assert len(dictionary.fold_index(rs.fold)) == 3
+    for word in words[:30]:
+        rule = rs[rng.randrange(len(rs))]
+        mangled = apply_rule(word, rule)
+        if mangled is None:
+            continue
+        assert (word, rule.id) in audit(mangled, rs, dictionary).findings
+        _audit_as_reference(mangled, rs, words)
+
+
+def test_fold_index_is_built_once_per_fold_and_shares_strings():
+    words = ["alpha", "Alpha", "beta", "b3ta", "GAMMA"]
+    dictionary = WordList.from_words(words)
+    index = dictionary.fold_index(RS.fold)
+    assert dictionary.fold_index(RS.fold) is index
+    assert dictionary.fold_index(parse_rules("X\tq>9\n").fold) is not index
+    # one word per key is a bare string, the lowercase word itself
+    assert index["alpha".translate(RS.fold)] is words[0]
+    assert sorted(index["beta".translate(RS.fold)]) == ["b3ta", "beta"]
+    assert "gamma" in index.values()
+    assert "alpha" in dictionary._casefolded and words[0] in dictionary._casefolded
 
 
 def test_audit_flags_pattern_password():

@@ -245,6 +245,21 @@ def test_store_validates_width_from_any_iterable(container):
     assert HashStore(container(good), raw_count=70).raw_count == 70
 
 
+def test_fresh_store_shares_the_checked_set():
+    hs = load_hashes(f"{H_CAT}\n{H_DOG}\n{H_CAT}\n")
+    hs.mark_recovered(bytes.fromhex(H_CAT), "cat")
+    fresh = hs.fresh()
+    assert fresh.digest_set is hs.digest_set
+    assert (fresh.raw_count, fresh.unique_count, fresh.algorithm) == (3, 2, "md5")
+    assert fresh.recovered == {}
+    assert fresh.mark_recovered(bytes.fromhex(H_CAT), "cat")
+    assert fresh.mark_recovered(bytes.fromhex(H_DOG), "dog")
+    assert dict(hs.recovered) == {bytes.fromhex(H_CAT): "cat"}
+    # a frozenset from a caller is still checked
+    with pytest.raises(HashStoreError, match="width 15 != 16"):
+        HashStore(hs.digest_set | {b"\x01" * 15})
+
+
 def test_store_keeps_a_frozen_digest_set():
     hs = load_hashes(f"{H_CAT}\n{H_DOG}\n{H_CAT}\n")
     again = HashStore(hs.digest_set, raw_count=hs.raw_count)
