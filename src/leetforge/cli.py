@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
+from . import __version__
 from .bench import format_report_table, run_benchmark
 from .corpus import load_wordlist_files, read_lines
 from .cracker import ALGORITHMS, crack
@@ -218,7 +219,7 @@ def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="leetforge",
                              description="wordlist mangling, hash recovery and "
                                          "leet-pattern auditing")
-    parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("gen", help="generate mangled candidates")

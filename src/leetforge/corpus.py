@@ -24,10 +24,10 @@ class WordList:
         return iter(self.words)
 
     @cached_property
-    def _casefolded(self) -> frozenset[str]:
-        # frozenset() sizes its table once for a dict; fed an iterator it
-        # grows it fourfold at a time and ends up twice as large
-        return frozenset(dict.fromkeys(map(_shared_casefold, self.words)))
+    def _casefolded(self) -> dict[str, None]:
+        """The words' casefolds, each once, in first-occurrence order: the one
+        table that contains_casefold reads and fold_index groups."""
+        return dict.fromkeys(map(_shared_casefold, self.words))
 
     def contains_casefold(self, word: str) -> bool:
         return word.casefold() in self._casefolded
@@ -37,25 +37,24 @@ class WordList:
         return {}
 
     def fold_index(self, fold: dict[int, int | None]) -> dict[str, str | list[str]]:
-        """word.casefold().translate(fold) -> the casefolded words with that key.
+        """The keys of _casefolded grouped by folded.translate(fold).
 
         A key with one word maps to the bare string, one with more to a list in
-        first-occurrence order. Built on first use for each fold table and
-        kept, keyed by the table's identity (the table is kept with it, so the
-        identity is not reused).
+        first-occurrence order; either holds _casefolded's own strings. Built
+        on first use for each fold table and kept, keyed by the table's
+        identity (the table is kept with it, so the identity is not reused).
         """
         cached = self._fold_indexes.get(id(fold))
         if cached is None:
             index: dict[str, str | list[str]] = {}
-            for folded in map(_shared_casefold, self.words):
+            for folded in self._casefolded:
                 key = folded.translate(fold)
                 held = index.get(key)
                 if held is None:
                     index[key] = folded
                 elif isinstance(held, str):
-                    if held != folded:
-                        index[key] = [held, folded]
-                elif folded not in held:
+                    index[key] = [held, folded]
+                else:
                     held.append(folded)
             cached = self._fold_indexes[id(fold)] = (fold, index)
         return cached[1]

@@ -26,10 +26,13 @@ class GenOptions:
 
 @dataclass
 class GenStats:
-    emitted: int = 0
     suppressed_duplicates: int = 0
     by_arity: dict[str, int] = field(default_factory=lambda: {
         "base": 0, "single": 0, "dual": 0, "triad": 0})
+
+    @property
+    def emitted(self) -> int:
+        return sum(self.by_arity.values())
 
     @property
     def emitted_mangled(self) -> int:
@@ -86,7 +89,6 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
                     stats.suppressed_duplicates += 1
                     continue
                 seen.add(wb)
-            stats.emitted += 1
             stats.by_arity["base"] += 1
             yield new(CandidateRecord, (word, word, BASE_RULE_ID))
     # flattened per-rule data keeps the inner loop free of attribute lookups;
@@ -115,7 +117,6 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
                     stats.suppressed_duplicates += 1
                     continue
                 seen.add(ob)
-            stats.emitted += 1
             by_arity[arity] += 1
             if out is None:
                 out = ob.decode("utf-8", "surrogatepass")

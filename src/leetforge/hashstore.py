@@ -61,9 +61,6 @@ class HashStore:
         return MappingProxyType(self._recovered)
 
     def __contains__(self, digest: bytes) -> bool:
-        return self.contains(digest)
-
-    def contains(self, digest: bytes) -> bool:
         if len(digest) != self.digest_width:
             raise HashStoreError(
                 f"digest width {len(digest)} != {self.digest_width} for {self.algorithm}")
@@ -71,7 +68,7 @@ class HashStore:
 
     def mark_recovered(self, digest: bytes, plaintext: str) -> bool:
         """Record digest -> plaintext; True only for the first recovery of a digest."""
-        if not self.contains(digest):
+        if digest not in self:
             raise HashStoreError(f"digest {digest.hex()} is not in the store")
         if digest_of(plaintext, self.algorithm) != digest:
             raise HashStoreError(f"plaintext {plaintext!r} does not hash to {digest.hex()}")

@@ -12,7 +12,9 @@ import string
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import leetforge
 from leetforge import (GenOptions, WordList, apply_rule, audit, builtin_rules,
                        crack, generate, load_hashes, run_benchmark, uplift)
 from leetforge.rules import export_hashcat
@@ -277,6 +279,22 @@ def test_determinism(tmp_path):
     elapsed = time.perf_counter() - start
     _report("determinism",
             f"gen and crack byte-identical under PYTHONHASHSEED 1 and 2 in {elapsed:.2f} s")
+
+
+def test_runtime_is_stdlib_only():
+    """Importing leetforge and its CLI loads nothing from outside the stdlib.
+
+    -I -S leaves out site-packages, the user site and PYTHON* variables.
+    """
+    src = str(Path(leetforge.__file__).resolve().parents[1])
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import leetforge, leetforge.cli; "
+              "print(*sorted({name.partition('.')[0] for name in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script, src],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "leetforge" in loaded
+    assert loaded - {"__main__", "leetforge"} - sys.stdlib_module_names == set()
+    _report("stdlib-only", f"{len(loaded)} top-level modules loaded, all from the stdlib")
 
 
 def test_throughput_informational():

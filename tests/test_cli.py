@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import leetforge
+from leetforge import cli
 from leetforge.cli import main
+from leetforge.errors import HashStoreError
 from synthetic import planted_corpus
 
 
@@ -460,4 +463,31 @@ def test_bench_end_to_end(capsys, tmp_path):
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
-    assert "leetforge" in out
+    assert out == f"leetforge {leetforge.__version__}\n"
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(r'^version = "([^"]*)"$', pyproject.read_text(encoding="utf-8"), re.M)
+    assert match is not None
+    assert match.group(1) == leetforge.__version__
+
+
+def test_runtime_errors_exit_3(capsys, monkeypatch, tmp_path, wordfile):
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(hashlib.md5(b"p@ssw0rd").hexdigest() + "\n")
+
+    def fail_with(exc):
+        def crack(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "crack", crack)
+
+    fail_with(HashStoreError("digest width 20 != 16 for md5"))
+    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile)
+    assert (code, out) == (3, "")
+    assert err == "leetforge: error: digest width 20 != 16 for md5\n"
+    fail_with(RuntimeError("worker lost"))
+    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile)
+    assert (code, out) == (3, "")
+    assert err == "leetforge: unexpected error: RuntimeError: worker lost\n"

@@ -221,6 +221,9 @@ def test_fold_index_is_built_once_per_fold_and_shares_strings():
     assert sorted(index["beta".translate(RS.fold)]) == ["b3ta", "beta"]
     assert "gamma" in index.values()
     assert "alpha" in dictionary._casefolded and words[0] in dictionary._casefolded
+    # an uppercase word's bucket holds the casefold table's own string
+    gamma = next(key for key in dictionary._casefolded if key == "gamma")
+    assert index["gamma".translate(RS.fold)] is gamma
 
 
 def test_audit_flags_pattern_password():

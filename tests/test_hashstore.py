@@ -170,10 +170,10 @@ def test_load_other_algorithms():
 
 def test_contains_and_width_check():
     hs = load_hashes(f"{H_CAT}\n")
-    assert hs.contains(bytes.fromhex(H_CAT))
-    assert not hs.contains(bytes.fromhex(H_DOG))
+    assert bytes.fromhex(H_CAT) in hs
+    assert bytes.fromhex(H_DOG) not in hs
     with pytest.raises(HashStoreError, match="width"):
-        hs.contains(b"\x00" * 20)
+        b"\x00" * 20 in hs
 
 
 def test_contains_matches_linear_scan():
@@ -183,7 +183,7 @@ def test_contains_matches_linear_scan():
     probes = [rng.choice(planted) if rng.random() < 0.5 else rng.randbytes(16)
               for _ in range(10_000)]
     for d in probes:
-        assert hs.contains(d) == any(d == p for p in planted)
+        assert (d in hs) == any(d == p for p in planted)
 
 
 def test_mark_recovered_first_wins():
