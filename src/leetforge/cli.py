@@ -47,7 +47,25 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
+def _output_clash(args) -> tuple[str, str] | None:
+    """The first two gen flags naming one output file (`-o -` is stdout), or None."""
+    flags: dict[str, str] = {}
+    for flag, path in (("-o", None if args.output == "-" else args.output),
+                       ("--provenance", args.provenance), ("--stats-json", args.stats_json)):
+        if path:
+            same = flags.setdefault(os.path.realpath(path), flag)
+            if same != flag:
+                return same, flag
+    return None
+
+
 def cmd_gen(args) -> int:
+    clash = _output_clash(args)
+    if clash is not None:
+        # two handles writing one file would interleave and tear its lines
+        print(f"leetforge gen: {clash[0]} and {clash[1]} name the same file; "
+              f"give each its own path", file=sys.stderr)
+        return EXIT_USAGE
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
     if args.provenance:

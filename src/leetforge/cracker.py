@@ -94,11 +94,12 @@ def crack(hs: "HashStore", candidates: Iterable[CandidateRecord],
           chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> CrackResult:
     """Hash every candidate once, in stream order, and match it against the store.
 
-    Hits are recorded with mark_recovered (atomic, first plaintext wins) and
-    recovered_new counts only digests newly recovered by this call. Matches
-    come back sorted by digest. threads and chunk_bytes have no effect:
-    matching always runs on the calling thread. perfbench/workloads.py is
-    their only user, so they go when that file stops passing them.
+    Hits are recorded as mark_recovered records them (atomic, first plaintext
+    wins), without hashing them again, and recovered_new counts only digests
+    newly recovered by this call. Matches come back sorted by digest.
+    threads and chunk_bytes have no effect: matching always runs on the
+    calling thread. perfbench/workloads.py is their only user, so they go
+    when that file stops passing them.
     """
     if algorithm is None:
         algorithm = hs.algorithm
@@ -117,7 +118,7 @@ def crack(hs: "HashStore", candidates: Iterable[CandidateRecord],
         attempted += 1
         d = hasher(cand.encode("utf-8", "surrogatepass")).digest()
         if d in digests:
-            if hs.mark_recovered(d, cand):
+            if hs._record(d, cand):   # d is cand's digest and in the store
                 recovered_new += 1
             matches.append(Match(d, cand, base, rule_id))
     elapsed = time.perf_counter() - start

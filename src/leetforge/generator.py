@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -74,16 +76,30 @@ class CandidateStream:
         return self._iterator
 
 
+def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None],
+                shared: set[bytes], own: set[bytes]) -> list[set[bytes]]:
+    """For each word, the set its candidates dedup in: shared when another
+    word has the same fold key, own otherwise. The keys are dropped on return."""
+    keys = [word.casefold().translate(fold) for word in words]
+    counts = Counter(keys)
+    return [shared if counts[key] > 1 else own for key in keys]
+
+
 def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
                 stats: GenStats) -> Iterator[CandidateRecord]:
     # Dedup keys are the candidates' UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
-    # as the strings would, in less memory per entry.
-    seen: set[bytes] | None = set() if opts.dedup else None
+    # as the strings would, in less memory per entry. Only words that share a
+    # fold key keep their candidates in `shared` (see generate); any other
+    # word dedups its mangles in `own`, cleared for each word.
+    shared: set[bytes] = set()
+    own: set[bytes] = set()
+    word_sets = (_dedup_sets(wl.words, rs.fold, shared, own) if opts.dedup
+                 else itertools.repeat(None))
     new = tuple.__new__   # builds a CandidateRecord without NamedTuple.__new__'s call overhead
     if opts.include_base:
-        for word in wl.words:
-            if seen is not None:
+        for word, seen in zip(wl.words, word_sets):
+            if seen is shared:
                 wb = word.encode("utf-8", "surrogatepass")
                 if wb in seen:
                     stats.suppressed_duplicates += 1
@@ -96,7 +112,9 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
     compiled = [(r.id, r.arity, r.byte_table, r.translation,
                  r if opts.strict_multi and len(r.pairs) > 1 else None) for r in rs]
     by_arity = stats.by_arity
-    for word in wl.words:
+    for word, seen in zip(wl.words, word_sets):
+        if seen is own:
+            own.clear()
         wb = word.encode("utf-8", "surrogatepass")
         for rule_id, arity, byte_table, table, strict_rule in compiled:
             if strict_rule is not None and not strict_rule.sources_present(word):
@@ -130,6 +148,14 @@ def generate(wl: WordList, rs: RuleSet,
     With include_base all base words stream ahead of the mangles, so a mangle
     colliding with any base word is the one that gets suppressed. Dedup is
     global across the whole stream and keeps the first emission's provenance.
+
+    It stays exact without a set of every candidate. RuleSet.fold gives
+    apply_rule(b, r) == p only when b and p have the same fold key,
+    casefold().translate(fold); so two different words can emit one candidate
+    only if their keys are equal. A mangle never equals its own word, and the
+    base words are distinct. So only words whose key another word shares keep
+    their candidates in one set for the whole stream; every other word dedups
+    its mangles in a set of its own, emptied when the next word starts.
     """
     stats = GenStats()
     return CandidateStream(_candidates(wl, rs, opts, stats), stats)

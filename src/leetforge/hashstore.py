@@ -72,6 +72,11 @@ class HashStore:
             raise HashStoreError(f"digest {digest.hex()} is not in the store")
         if digest_of(plaintext, self.algorithm) != digest:
             raise HashStoreError(f"plaintext {plaintext!r} does not hash to {digest.hex()}")
+        return self._record(digest, plaintext)
+
+    def _record(self, digest: bytes, plaintext: str) -> bool:
+        """mark_recovered without its checks, for a caller that has just
+        hashed plaintext to this stored digest itself."""
         with self._lock:
             if digest in self._recovered:
                 return False

@@ -155,6 +155,28 @@ def test_gen_output_provenance_and_stats(capsys, tmp_path, wordfile):
     assert stats["by_arity"]["base"] == 0
 
 
+@pytest.mark.parametrize("first,second", [("-o", "--provenance"), ("-o", "--stats-json"),
+                                          ("--provenance", "--stats-json")])
+def test_gen_refuses_two_outputs_to_one_file(capsys, tmp_path, wordfile, first, second):
+    target = tmp_path / "out.txt"
+    # the second flag names the file through another spelling of its path
+    code, out, err = run_cli(capsys, "gen", "-w", wordfile, "--include-base",
+                             first, target, second, tmp_path / "." / "out.txt")
+    assert code == 1
+    assert out == ""
+    assert first in err and second in err
+    assert not target.exists()
+
+
+def test_gen_stdout_output_does_not_clash_with_a_file_named_dash(capsys, monkeypatch,
+                                                                 tmp_path, wordfile):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "gen", "-w", wordfile, "-o", "-", "--provenance", "-")
+    assert code == 0
+    assert [line.split("\t")[0] for line in (tmp_path / "-").read_text().splitlines()] \
+        == out.splitlines()
+
+
 def test_gen_provenance_refuses_word_with_tab(capsys, tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("password\npass\tword\n")

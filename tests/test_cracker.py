@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import leetforge
-from leetforge import (AlgorithmMismatchError, GenOptions, UnknownAlgorithmError,
-                       WordList, base_candidates, builtin_rules, crack,
-                       digest_of, generate, load_hashes)
+from leetforge import (AlgorithmMismatchError, GenOptions, HashStoreError,
+                       UnknownAlgorithmError, WordList, base_candidates, builtin_rules,
+                       crack, digest_of, generate, load_hashes)
 from leetforge.cracker import _CONSTRUCTORS
 from leetforge.generator import CandidateRecord
 from oracles import md5_reference
@@ -138,6 +138,32 @@ def test_crack_counts_attempts_including_duplicates():
     assert result.attempted == 5
     assert len(result.matches) == 5
     assert result.recovered_new == 1  # same digest only counts once
+
+
+def test_crack_hashes_each_candidate_once(monkeypatch):
+    # every hit is recorded with the digest crack computed, never hashed again
+    calls = []
+    md5 = _CONSTRUCTORS["md5"]
+    monkeypatch.setitem(_CONSTRUCTORS, "md5", lambda data: calls.append(data) or md5(data))
+    words, hash_text, _, _ = planted_corpus(200, 40, 40)
+    hs = load_hashes(hash_text)
+    result = crack(hs, generate(WordList.from_words(words), RS,
+                                GenOptions(include_base=True, dedup=False)))
+    assert result.recovered_new == 80
+    assert len(result.matches) > 80   # dedup off: some digests are hit more than once
+    assert len(calls) == result.attempted
+
+
+def test_mark_recovered_keeps_its_checks_after_crack():
+    words, hash_text, plain, _ = planted_corpus(50, 10, 10)
+    hs = load_hashes(hash_text)
+    crack(hs, generate(WordList.from_words(words), RS, GenOptions(include_base=True)))
+    assert len(hs.recovered) == 20
+    with pytest.raises(HashStoreError, match="does not hash"):
+        hs.mark_recovered(digest_of(plain[0]), plain[1])
+    with pytest.raises(HashStoreError, match="not in the store"):
+        hs.mark_recovered(digest_of("absent"), "absent")
+    assert hs.mark_recovered(digest_of(plain[0]), plain[0]) is False
 
 
 def test_crack_rejects_algorithm_mismatch():

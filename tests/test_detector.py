@@ -6,9 +6,9 @@ import random
 import string
 import sys
 
-from leetforge import (CharPair, ReplacementRule, RuleSet, WordList, apply_rule, audit,
-                       builtin_rules, deleet, parse_rules)
+from leetforge import WordList, apply_rule, audit, builtin_rules, deleet, parse_rules
 from oracles import audit_reference
+from synthetic import case_noise, random_custom_rules
 
 RS = builtin_rules()
 TOP5 = RS.top5
@@ -81,23 +81,6 @@ def test_deleet_inverts_titlecase_sources():
             assert _audit_as_reference(mangled, rs, [word]) == 1
 
 
-def _random_custom_rules(rng, n):
-    """n rules over a small pool, so chains (a>b,b>1), shared replacements
-    (a>1,i>1), case-sensitive uppercase sources, A>a, non-ASCII pairs, a
-    titlecase source and casefolds longer than one character (ß, ẞ, İ)
-    recur."""
-    pool = "abiAB1@" + "\u00e9\u00c9\u20ac\u01c5\u00df\u1e9e\u0130"   # é É € ǅ ß ẞ İ
-    rules = []
-    while len(rules) < n:
-        try:
-            pairs = tuple(CharPair(*rng.sample(pool, 2)) for _ in range(rng.randint(1, 3)))
-            rules.append(ReplacementRule(f"C{len(rules)}", pairs,
-                                         case_insensitive=rng.random() < 0.5))
-        except ValueError:   # a repeated source character, or one with no one-character swapcase
-            continue
-    return RuleSet(tuple(rules))
-
-
 def _audit_as_reference(pw, rs, words):
     """Check audit and deleet against audit_reference; return the finding count."""
     want = audit_reference(pw, rs, words)
@@ -108,18 +91,13 @@ def _audit_as_reference(pw, rs, words):
     return len(want)
 
 
-def _case_noise(rng, word):
-    return "".join(c.swapcase() if rng.random() < 0.3 and len(c.swapcase()) == 1 else c
-                   for c in word)
-
-
 def test_deleet_and_audit_match_unscreened_reference():
     rng = random.Random(33)
     named = parse_rules("chain\ta>b,b>c\nshared\ta>1,i>1\nupper\tA>4,B>8\tcs\n"
                         "fold\tA>a\nwide\t\u00e9>\u20ac,\u00c9>e\tcs\n"
                         "sharp\t\u00df>s\tcs\ndotted\t\u0130>1\tcs\nlig\t\ufb01>f\tcs\n")
     found = 0
-    for rs in [RS, named] + [_random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
+    for rs in [RS, named] + [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
         # words and passwords from the rules' own characters, plus forward mangles
         chars = sorted({c for r in rs for p in r.pairs
                         for c in (p.source, p.source.swapcase(), p.replacement)} | {"x"})
@@ -128,7 +106,7 @@ def test_deleet_and_audit_match_unscreened_reference():
         for _ in range(25):
             pw = "".join(rng.choice(chars) for _ in range(rng.randint(1, 5)))
             found += _audit_as_reference(pw, rs, words)
-            mangled = apply_rule(_case_noise(rng, rng.choice(words)), rs[rng.randrange(len(rs))])
+            mangled = apply_rule(case_noise(rng, rng.choice(words)), rs[rng.randrange(len(rs))])
             if mangled is not None:
                 found += _audit_as_reference(mangled, rs, words)
     assert found > 5000

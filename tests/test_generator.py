@@ -11,6 +11,7 @@ from leetforge import (BASE_RULE_ID, CharPair, GenOptions, ReplacementRule, Rule
                        parse_rules)
 from leetforge.generator import CandidateRecord
 from oracles import generate_reference, mangle_reference
+from synthetic import random_custom_rules
 
 RS = builtin_rules()
 
@@ -209,6 +210,17 @@ def _random_mixed_rules(rng, n):
     return RuleSet(tuple(rules))
 
 
+def _assert_matches_ordered_reference(wl, rs):
+    """Records and GenStats equal generate_reference's under all 8 option combinations."""
+    for include_base, strict, dedup in itertools.product((False, True), repeat=3):
+        opts = GenOptions(include_base=include_base, strict_multi=strict, dedup=dedup)
+        records, stats = _records(wl, rs, opts)
+        expected, counts = generate_reference(wl.words, rs, include_base=include_base,
+                                              strict_multi=strict, dedup=dedup)
+        assert [tuple(r) for r in records] == expected
+        assert stats.to_dict() == counts
+
+
 def test_generate_matches_ordered_reference_on_mixed_rules():
     rng = random.Random(14)
     alphabet = "aeiosAEIOS" + "xyz" + "\u00e9\u00c9\u00e4\u00c4\u00f1\u0131" + "03@" + "\U0001f600"
@@ -219,15 +231,42 @@ def test_generate_matches_ordered_reference_on_mixed_rules():
         words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
                  for _ in range(rng.randint(1, 20))]
         words.append("s\udc80e")   # a lone surrogate, as WordList.from_words allows
-        wl = WordList.from_words(words)
-        for include_base, strict, dedup in itertools.product((False, True), repeat=3):
-            opts = GenOptions(include_base=include_base, strict_multi=strict, dedup=dedup)
-            records, stats = _records(wl, rs, opts)
-            expected, counts = generate_reference(wl.words, rs, include_base=include_base,
-                                                  strict_multi=strict, dedup=dedup)
-            assert [tuple(r) for r in records] == expected
-            assert stats.to_dict() == counts
+        _assert_matches_ordered_reference(WordList.from_words(words), rs)
     assert paths == {False, True}   # both the byte-table and the str branch ran
+
+
+# Words that share a fold key and so can emit each other or a common candidate:
+# case variants and a builtin mangle of one word (pass/p4ss, beta/b3ta), a base
+# that another word mangles into (abl -> ab1 under l>1), two words whose
+# mangles meet (ab1 and abl both -> 4b1 under a>4,l>1), and casefolds longer
+# than one character (ß/ss, ẞ, İ/i, ﬁ/fi).
+COLLIDING = ["pass", "Pass", "PASS", "p4ss", "p@ss", "beta", "b3ta", "BETA",
+             "ab1", "abl", "ABL", "4bl", "stra\u00dfe", "strasse", "STRASSE",
+             "\u1e9e", "ss", "\u0130b", "ib", "i\u0307b", "\ufb01", "fi", "FI"]
+
+
+def test_generate_matches_ordered_reference_on_colliding_words():
+    rng = random.Random(15)
+    named = parse_rules("L\tl>1\nA\ta>4\nAL\ta>4,l>1\nS\ts>\u00df\tcs\n"
+                        "SHARP\t\u00df>s\tcs\nDOT\t\u0130>i\tcs\nLIG\tf>\ufb01\tcs\n")
+    rule_sets = [RS, named]
+    rule_sets += [_random_mixed_rules(rng, rng.randint(1, 8)) for _ in range(15)]
+    rule_sets += [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(15)]
+    shared_words = unshared_words = 0
+    for rs in rule_sets:
+        chars = sorted({c for r in rs for p in r.pairs
+                        for c in (p.source, p.source.swapcase(), p.replacement)})
+        # unshared words around the planted ones, so both dedup sets are used
+        words = COLLIDING + ["".join(rng.choice(chars + ["x", "y"])
+                                     for _ in range(rng.randint(1, 6))) for _ in range(20)]
+        rng.shuffle(words)
+        wl = WordList.from_words(words)
+        keys = [w.casefold().translate(rs.fold) for w in wl.words]
+        shared = sum(keys.count(k) > 1 for k in keys)
+        shared_words += shared
+        unshared_words += len(keys) - shared
+        _assert_matches_ordered_reference(wl, rs)
+    assert shared_words > 10 * len(rule_sets) and unshared_words > 10 * len(rule_sets)
 
 
 def test_empty_wordlist_generates_nothing():

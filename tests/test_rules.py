@@ -13,6 +13,7 @@ from leetforge import (BASE_RULE_ID, CharPair, ExportError, ReplacementRule,
                        RuleParseError, RuleSet, apply_rule, builtin_rules,
                        export_hashcat, parse_rules, serialize_rules)
 from oracles import simulate_hashcat_line
+from synthetic import case_noise, random_custom_rules
 
 
 def test_builtin_counts():
@@ -315,3 +316,27 @@ def test_export_replays_random_chained_rules():
         word = "".join(rng.choice(alphabet + "xyz") for _ in range(rng.randint(0, 10)))
         for rule, line in zip(rs, lines):
             assert simulate_hashcat_line(line, word) == (apply_rule(word, rule) or word)
+
+
+def test_fold_key_is_shared_by_a_word_and_its_mangles():
+    # apply_rule(b, r, strict_multi) == p implies equal fold keys for b and p:
+    # audit looks bases up by this key, and generate dedups across words only
+    # where two words share it.
+    rng = random.Random(35)
+    named = parse_rules("sharp\t\u00df>s\tcs\ndotted\t\u0130>1\tcs\nlig\t\ufb01>f\tcs\n"
+                        "long\ts>\u00df\nupper\tA>4,B>8\tcs\nfold\tA>a\n")
+    checked = 0
+    for rs in [builtin_rules(), named] + [random_custom_rules(rng, rng.randint(1, 6))
+                                          for _ in range(300)]:
+        fold = rs.fold
+        chars = sorted({c for r in rs for p in r.pairs
+                        for c in (p.source, p.source.swapcase(), p.replacement)} | {"x"})
+        for _ in range(40):
+            word = case_noise(rng, "".join(rng.choice(chars) for _ in range(rng.randint(1, 6))))
+            key = word.casefold().translate(fold)
+            for rule, strict in itertools.product(rs, (False, True)):
+                out = apply_rule(word, rule, strict)
+                if out is not None:
+                    assert out.casefold().translate(fold) == key, (word, rule, out)
+                    checked += 1
+    assert checked > 20000
