@@ -47,24 +47,26 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _output_clash(args) -> tuple[str, str] | None:
-    """The first two gen flags naming one output file (`-o -` is stdout), or None."""
+def _output_clash(command: str, *outputs: tuple[str, str | None]) -> bool:
+    """Name on stderr the first two (flag, path) outputs that are one file.
+
+    Two handles writing one file would tear its lines or overwrite each
+    other's data, so the caller refuses the run (exit 1) when this is True.
+    """
     flags: dict[str, str] = {}
-    for flag, path in (("-o", None if args.output == "-" else args.output),
-                       ("--provenance", args.provenance), ("--stats-json", args.stats_json)):
+    for flag, path in outputs:
         if path:
             same = flags.setdefault(os.path.realpath(path), flag)
             if same != flag:
-                return same, flag
-    return None
+                print(f"leetforge {command}: {same} and {flag} name the same file; "
+                      f"give each its own path", file=sys.stderr)
+                return True
+    return False
 
 
 def cmd_gen(args) -> int:
-    clash = _output_clash(args)
-    if clash is not None:
-        # two handles writing one file would interleave and tear its lines
-        print(f"leetforge gen: {clash[0]} and {clash[1]} name the same file; "
-              f"give each its own path", file=sys.stderr)
+    if _output_clash("gen", ("-o", None if args.output == "-" else args.output),
+                     ("--provenance", args.provenance), ("--stats-json", args.stats_json)):
         return EXIT_USAGE
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
@@ -125,33 +127,13 @@ def cmd_crack(args) -> int:
 
 
 def _stdin_passwords() -> Iterator[str]:
-    """Passwords from stdin, one per line, as the lines arrive.
-
-    Each read takes what the pipe holds; its complete lines are decoded
-    together (see read_lines) before the first of them is yielded, so a bad
-    byte stops the run before any line that arrived with it is audited.
-    """
-    stream = sys.stdin.buffer
-    pending = bytearray()
-    first_line = 1
-    while True:
-        chunk = stream.read1()
-        pending += chunk
-        if chunk:
-            newline = chunk.rfind(b"\n")
-            if newline < 0:
-                continue
-            cut = len(pending) - len(chunk) + newline + 1
-        else:
-            cut = len(pending)   # the stream ended: the rest is the last line
-        piece = bytes(pending[:cut])
-        del pending[:cut]
-        for line in read_lines("stdin", piece, first_line):
-            if line.strip():
-                yield line.rstrip("\r")
-        first_line += piece.count(b"\n")
-        if not chunk:
-            return
+    """Passwords from stdin, one per line, each yielded as soon as its line
+    arrives. Lines are decoded one by one (see read_lines), so a bad byte
+    stops the run after every line before it has been audited."""
+    for lineno, raw in enumerate(sys.stdin.buffer, 1):
+        line = read_lines("stdin", raw, lineno)[0].rstrip("\r")
+        if line.strip():
+            yield line
 
 
 def cmd_detect(args) -> int:
@@ -171,6 +153,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if _output_clash("bench", ("--json", args.json), ("--potfile", args.potfile)):
+        return EXIT_USAGE
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
     report = run_benchmark(
@@ -238,7 +222,7 @@ def build_parser() -> _ArgumentParser:
                              description="wordlist mangling, hash recovery and "
                                          "leet-pattern auditing")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("gen", help="generate mangled candidates")
     _add_wordlist_arg(p)
@@ -309,10 +293,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits: 0 for --help/--version, 1 for usage
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: a command is required", file=sys.stderr)
-        return EXIT_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed early surfaces here, not at exit
@@ -336,6 +316,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # every input is read as UTF-8, so data goes out as UTF-8 whatever the locale
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

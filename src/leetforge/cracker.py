@@ -106,7 +106,6 @@ def crack(hs: "HashStore", candidates: Iterable[CandidateRecord],
     elif algorithm != hs.algorithm:
         raise AlgorithmMismatchError(
             f"store holds {hs.algorithm} digests, requested {algorithm}")
-    digest_size(algorithm)
     hasher = _CONSTRUCTORS[algorithm]
     digests = hs.digest_set
 

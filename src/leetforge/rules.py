@@ -379,7 +379,7 @@ def parse_rules(text: str | bytes) -> RuleSet:
         tokens = _split_pairs(pair_field, lineno)
         pairs = []
         for token in tokens:
-            if len(token) != 3 or token[1] != ">":
+            if token[1] != ">":
                 raise RuleParseError(
                     f"malformed pair {token!r} (expected '<source>><replacement>')", line=lineno)
             try:

@@ -326,13 +326,42 @@ def test_detect_stdin_decodes_utf8_and_strips_crlf(capsys, monkeypatch, tmp_path
 
 
 def test_detect_stdin_invalid_utf8_is_input_error(wordfile):
-    # `printf 'p@ssw0rd\np\xffw\n' | leetforge detect --stdin`, through a real pipe
+    # `printf 'p@ssw0rd\np\xffw\n' | leetforge detect --stdin`, through a real pipe:
+    # the line before the bad one is audited, then the run stops
     proc = subprocess.run([sys.executable, "-m", "leetforge.cli", "detect", "--dict",
                            str(wordfile), "--stdin"], input=b"p@ssw0rd\np\xffw\n",
                           capture_output=True, env=cli_env(), timeout=60)
     assert proc.returncode == 2
-    assert proc.stdout == b""
+    assert [json.loads(line)["password"] for line in proc.stdout.splitlines()] == ["p@ssw0rd"]
     assert b"stdin, line 2: invalid UTF-8" in proc.stderr
+
+
+def test_detect_stdin_output_does_not_depend_on_pipe_writes(wordfile):
+    # the same bytes through a real pipe, once in one write and once a line at a
+    # time (the bad line written only after the good one's JSON came out)
+    argv = [sys.executable, "-m", "leetforge.cli", "detect", "--dict", str(wordfile), "--stdin"]
+    good, bad = b"p@ssw0rd\n", b"p\xffw\n"
+    whole = subprocess.run(argv, input=good + bad, capture_output=True, env=cli_env(),
+                           timeout=60)
+    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=cli_env())
+    try:
+        proc.stdin.write(good)
+        proc.stdin.flush()
+        first = []
+        reader = threading.Thread(target=lambda: first.append(proc.stdout.readline()))
+        reader.start()
+        reader.join(timeout=60)
+        assert not reader.is_alive(), "no output before stdin closed"
+        proc.stdin.write(bad)
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == whole.returncode == 2
+        assert first[0] + proc.stdout.read() == whole.stdout
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_detect_stdin_streams_each_line(wordfile):
@@ -386,9 +415,9 @@ def test_detect_stdin_lines_split_across_reads(capsys, monkeypatch, wordfile):
     code, out, err = run_cli(capsys, "detect", "--dict", wordfile, "--stdin")
     assert code == 2
     assert "stdin, line 5: invalid UTF-8" in err
-    # the lines that arrived before the bad read were audited
+    # every line before the bad one was audited, also the one that arrived with it
     docs = [json.loads(line) for line in out.splitlines()]
-    assert [d["password"] for d in docs] == ["p@ssw0rd", "\ufeffzzz"]
+    assert [d["password"] for d in docs] == ["p@ssw0rd", "\ufeffzzz", "dr4gon"]
 
 
 def test_export_rules_builtin(capsys):
@@ -480,6 +509,45 @@ def test_bench_end_to_end(capsys, tmp_path):
     assert "threads" not in doc["options"]
     assert json.loads(report_file.read_text()) == doc
     assert "uplift" in err
+
+
+@pytest.mark.parametrize("spelling", ["report.json", "./report.json"])
+def test_bench_refuses_json_and_potfile_to_one_file(capsys, monkeypatch, tmp_path, spelling):
+    monkeypatch.chdir(tmp_path)
+    # the inputs do not exist: the clash is refused before any of them is read
+    code, out, err = run_cli(capsys, "bench", "-w", "missing.txt", "--hashes", "missing.hashes",
+                             "--json", "report.json", "--potfile", spelling)
+    assert code == 1
+    assert out == ""
+    assert "--json and --potfile name the same file" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
+    words = tmp_path / "words.txt"
+    words.write_bytes("stra\u00dfe\n".encode("utf-8"))
+    target = "str4\u00dfe".encode("utf-8")
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(hashlib.md5(target).hexdigest() + "\n")
+    rules = tmp_path / "sharp.rules"
+    rules.write_bytes("X\t\u00df>x\tcs\n".encode("utf-8"))
+    out_file = tmp_path / "cands.txt"
+    env = {**cli_env(), "PYTHONIOENCODING": encoding}
+
+    def leetforge(*argv):
+        proc = subprocess.run([sys.executable, "-m", "leetforge.cli", *map(str, argv)],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    stdout = leetforge("gen", "-w", words)
+    assert leetforge("gen", "-w", words, "-o", out_file) == b""
+    assert stdout == out_file.read_bytes()
+    [(digest, plaintext)] = [line.split(b":", 1) for line in
+                             leetforge("crack", "--hashes", hashes, "-w", words).splitlines()]
+    assert hashlib.md5(plaintext).hexdigest().encode() == digest
+    assert leetforge("export-rules", "-r", rules, "--format", "native") == rules.read_bytes()
 
 
 def test_version_flag(capsys):

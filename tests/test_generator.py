@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import string
+import tracemalloc
 
 from leetforge import (BASE_RULE_ID, CharPair, GenOptions, ReplacementRule, RuleSet,
                        WordList, apply_rule, base_candidates, builtin_rules, generate,
@@ -139,6 +141,25 @@ def test_generate_no_dedup_counts_everything():
     cands = [r.candidate for r in records]
     assert cands.count("p@ss") > 1
     assert stats.emitted == len(cands)
+
+
+def test_generate_dedup_memory_does_not_grow_with_unshared_words():
+    # no builtin rule touches these letters, so every word's fold key is its own
+    # and its mangles dedup in the per-word set, which each next word empties
+    n = 2000
+    prefixes = itertools.islice(itertools.product("cjknpquwxy", repeat=7), n)
+    wl = WordList.from_words("".join(p) + "salute" for p in prefixes)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stream = generate(wl, RS)
+        collections.deque(stream, maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.stats.emitted == 31 * n
+    # ~110 B per word with the per-word set emptied, ~2,500 B if it kept growing
+    assert (peak - start) / n < 500
 
 
 def test_generate_deterministic():
