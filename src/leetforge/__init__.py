@@ -2,15 +2,14 @@
 
 from .bench import BenchReport, format_report_table, run_benchmark, uplift
 from .corpus import WordList, load_wordlist_files, load_wordlists
-from .cracker import (ALGORITHMS, DEFAULT_CHUNK_BYTES, CrackResult, Match, crack,
-                      digest_of, digest_size)
+from .cracker import (ALGORITHMS, DEFAULT_CHUNK_BYTES, CrackResult, HashStore, Match,
+                      crack, digest_of, digest_size, format_potfile, load_hashes)
 from .detector import DetectionResult, Finding, audit, deleet
 from .errors import (AlgorithmMismatchError, ExportError, HashFormatError,
                      HashStoreError, InputFormatError, LeetforgeError,
                      RuleParseError, UnknownAlgorithmError, WordlistDecodeError)
 from .generator import (CandidateRecord, CandidateStream, GenOptions, GenStats,
                         apply_rule, base_candidates, generate)
-from .hashstore import HashStore, format_potfile, load_hashes
 from .rules import (BASE_RULE_ID, CharPair, ReplacementRule, RuleSet, builtin_rules,
                     export_hashcat, parse_rules, serialize_rules)
 

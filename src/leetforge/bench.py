@@ -7,9 +7,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus import WordList
-from .cracker import crack
+from .cracker import crack, format_potfile, load_hashes
 from .generator import GenOptions, base_candidates, generate
-from .hashstore import format_potfile, load_hashes
 from .rules import RuleSet
 
 

@@ -14,11 +14,10 @@ from typing import Iterator
 from . import __version__
 from .bench import format_report_table, run_benchmark
 from .corpus import load_wordlist_files, read_lines
-from .cracker import ALGORITHMS, crack
+from .cracker import ALGORITHMS, crack, format_potfile, load_hashes
 from .detector import audit
 from .errors import InputFormatError, LeetforgeError
 from .generator import GenOptions, base_candidates, generate
-from .hashstore import format_potfile, load_hashes
 from .rules import builtin_rules, export_hashcat, parse_rules, serialize_rules
 
 EXIT_OK = 0
@@ -47,25 +46,30 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _output_clash(command: str, *outputs: tuple[str, str | None]) -> bool:
-    """Name on stderr the first two (flag, path) outputs that are one file.
+def _output_clash(args, *outputs: tuple[str, str | None]) -> bool:
+    """Name on stderr the first (flag, path) output that is one file with an
+    input (--hashes, a -w, a -r file) or with an earlier output.
 
-    Two handles writing one file would tear its lines or overwrite each
-    other's data, so the caller refuses the run (exit 1) when this is True.
+    Writing an input would replace it, and two handles writing one file would
+    tear its lines, so the caller refuses the run (exit 1) when this is True.
     """
-    flags: dict[str, str] = {}
+    inputs = [("--hashes", getattr(args, "hashes", None))]
+    inputs += [("-w", path) for path in args.wordlist]
+    if args.rules not in ("builtin", "none"):
+        inputs.append(("-r", args.rules))
+    flags = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if path:
             same = flags.setdefault(os.path.realpath(path), flag)
             if same != flag:
-                print(f"leetforge {command}: {same} and {flag} name the same file; "
+                print(f"leetforge {args.command}: {same} and {flag} name the same file; "
                       f"give each its own path", file=sys.stderr)
                 return True
     return False
 
 
 def cmd_gen(args) -> int:
-    if _output_clash("gen", ("-o", None if args.output == "-" else args.output),
+    if _output_clash(args, ("-o", None if args.output == "-" else args.output),
                      ("--provenance", args.provenance), ("--stats-json", args.stats_json)):
         return EXIT_USAGE
     wl = load_wordlist_files(args.wordlist)
@@ -103,6 +107,8 @@ def cmd_crack(args) -> int:
         print("leetforge crack: --patterns-only needs rules to mangle with "
               "(-r none tries only the base words)", file=sys.stderr)
         return EXIT_USAGE
+    if _output_clash(args, ("--potfile", args.potfile)):
+        return EXIT_USAGE
     store = load_hashes(Path(args.hashes).read_bytes(), args.algorithm)
     wl = load_wordlist_files(args.wordlist)
     if args.rules == "none":
@@ -112,14 +118,14 @@ def cmd_crack(args) -> int:
         opts = GenOptions(include_base=not args.patterns_only,
                           strict_multi=args.strict_multi, dedup=not args.no_dedup)
         candidates = generate(wl, rs, opts)
-    result = crack(store, candidates, algorithm=args.algorithm)
+    result = crack(store, candidates)
+    recoveries = format_potfile(store)
     if args.potfile:
-        Path(args.potfile).write_text(format_potfile(store), encoding="utf-8")
+        Path(args.potfile).write_text(recoveries, encoding="utf-8")
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
-        for m in result.matches:
-            sys.stdout.write(f"{m.digest.hex()}:{m.plaintext}\n")
+        sys.stdout.write(recoveries)
     print(f"attempted {result.attempted}, recovered {result.recovered_new} "
           f"of {store.unique_count} unique digests "
           f"({result.throughput:,.0f} candidates/s)", file=sys.stderr)
@@ -137,23 +143,20 @@ def _stdin_passwords() -> Iterator[str]:
 
 
 def cmd_detect(args) -> int:
-    rs = _load_rules(args.rules)
-    dictionary = load_wordlist_files([args.dict])
-    passwords = itertools.chain(args.password or [], _stdin_passwords() if args.stdin else [])
-    audited = 0
-    for pw in passwords:
-        sys.stdout.write(json.dumps(audit(pw, rs, dictionary).to_dict()) + "\n")
-        sys.stdout.flush()
-        audited += 1
-    if not audited:
+    if not (args.password or args.stdin):
         print("leetforge detect: no passwords given "
               "(use --password or --stdin)", file=sys.stderr)
         return EXIT_USAGE
+    rs = _load_rules(args.rules)
+    dictionary = load_wordlist_files([args.dict])
+    for pw in itertools.chain(args.password or [], _stdin_passwords() if args.stdin else []):
+        sys.stdout.write(json.dumps(audit(pw, rs, dictionary).to_dict()) + "\n")
+        sys.stdout.flush()
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    if _output_clash("bench", ("--json", args.json), ("--potfile", args.potfile)):
+    if _output_clash(args, ("--json", args.json), ("--potfile", args.potfile)):
         return EXIT_USAGE
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)

@@ -1,4 +1,5 @@
-"""Digest computation and candidate-vs-store matching.
+"""Digests, the store of digests to recover, its parser, the matcher and the
+`hexdigest:plaintext` recovery line.
 
 The matcher hashes each candidate in stream order on the calling thread, so
 counts, first-wins recovery and the final match list depend only on the
@@ -8,16 +9,19 @@ worker threads measured slower than this single loop at every count.
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import threading
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import AlgorithmMismatchError, UnknownAlgorithmError
+from .corpus import read_lines
+from .errors import (AlgorithmMismatchError, HashFormatError, HashStoreError,
+                     UnknownAlgorithmError)
 from .generator import CandidateRecord
-
-if TYPE_CHECKING:
-    from .hashstore import HashStore
 
 ALGORITHMS = {"md5": 16, "sha1": 20, "sha256": 32}
 
@@ -57,6 +61,121 @@ def digest_of(plaintext: str | bytes, algorithm: str = "md5") -> bytes:
     return _CONSTRUCTORS[algorithm](data).digest()
 
 
+class HashStore:
+    """A set of fixed-width raw digests plus a digest -> plaintext recovery map.
+
+    The digest set is immutable after construction and safe to share across
+    threads; mark_recovered is serialized under a lock so the first plaintext
+    for a digest always wins.
+    """
+
+    def __init__(self, digests: Iterable[bytes], algorithm: str = "md5",
+                 raw_count: int | None = None):
+        self.algorithm = algorithm
+        self.digest_width = width = digest_size(algorithm)
+        if not isinstance(digests, Collection):
+            digests = list(digests)   # a one-shot iterable is walked twice below
+        # Widths are checked before freezing, in the caller's order: over a list
+        # that is one cheap pass, where a walk in hash order is not.
+        if not set(map(len, digests)) <= {width}:
+            bad = next(d for d in digests if len(d) != width)
+            raise HashStoreError(f"digest width {len(bad)} != {width} for {algorithm}")
+        self._digests = frozenset(digests)   # a frozenset is kept, not copied
+        self.raw_count = len(self._digests) if raw_count is None else raw_count
+        self._recovered: dict[bytes, str] = {}
+        self._lock = threading.Lock()
+
+    def fresh(self) -> HashStore:
+        """A store over the same digests with nothing recovered.
+
+        The digest set is shared, not copied or checked again: this store
+        checked it when it was built.
+        """
+        store = copy.copy(self)
+        store._recovered = {}
+        store._lock = threading.Lock()
+        return store
+
+    @property
+    def digest_set(self) -> frozenset[bytes]:
+        return self._digests
+
+    @property
+    def unique_count(self) -> int:
+        return len(self._digests)
+
+    @property
+    def recovered(self) -> Mapping[bytes, str]:
+        return MappingProxyType(self._recovered)
+
+    def __contains__(self, digest: bytes) -> bool:
+        if len(digest) != self.digest_width:
+            raise HashStoreError(
+                f"digest width {len(digest)} != {self.digest_width} for {self.algorithm}")
+        return digest in self._digests
+
+    def mark_recovered(self, digest: bytes, plaintext: str) -> bool:
+        """Record digest -> plaintext; True only for the first recovery of a digest."""
+        if digest not in self:
+            raise HashStoreError(f"digest {digest.hex()} is not in the store")
+        if digest_of(plaintext, self.algorithm) != digest:
+            raise HashStoreError(f"plaintext {plaintext!r} does not hash to {digest.hex()}")
+        return self._record(digest, plaintext)
+
+    def _record(self, digest: bytes, plaintext: str) -> bool:
+        """mark_recovered without its checks, for a caller that has just
+        hashed plaintext to this stored digest itself."""
+        with self._lock:
+            if digest in self._recovered:
+                return False
+            self._recovered[digest] = plaintext
+            return True
+
+
+def load_hashes(text: str | bytes, algorithm: str = "md5") -> HashStore:
+    """Parse one hex digest per line (either case), dropping duplicates.
+
+    Lines are split by read_lines, as word lists are; surrounding whitespace
+    (a CR included) is stripped. raw_count keeps the number of non-blank lines
+    seen; malformed lines, whitespace inside a digest included, raise
+    HashFormatError with the number of the first one.
+    """
+    width = digest_size(algorithm)
+    lines = read_lines("digest list", text)
+    hexes = list(filter(None, map(str.strip, lines)))
+    # Bulk passes only; when one fails, _bad_line_error walks the lines to name it.
+    if set(map(len, hexes)) <= {2 * width}:
+        try:
+            return HashStore(map(bytes.fromhex, hexes), algorithm, raw_count=len(hexes))
+        except (ValueError, HashStoreError):   # not hex; whitespace inside a digest
+            pass
+    raise _bad_line_error(lines, width)
+
+
+def _bad_line_error(lines: list[str], width: int) -> HashFormatError:
+    """The error for the first line that is not one hex digest of width bytes."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if len(line) != 2 * width:
+            return HashFormatError(
+                f"expected {2 * width} hex characters, got {len(line)}: {line!r}", line=lineno)
+        try:
+            digest = bytes.fromhex(line)
+        except ValueError:
+            return HashFormatError(f"not hexadecimal: {line!r}", line=lineno)
+        if len(digest) != width:
+            # bytes.fromhex skips whitespace between byte pairs
+            return HashFormatError(f"whitespace inside the digest: {line!r}", line=lineno)
+    raise AssertionError("a bulk check failed on a well-formed digest list")
+
+
+def format_potfile(hs: HashStore) -> str:
+    """Recovered entries as `hexdigest:plaintext` lines, sorted by digest."""
+    return "".join(f"{d.hex()}:{p}\n" for d, p in sorted(hs.recovered.items()))
+
+
 class Match(NamedTuple):
     digest: bytes
     plaintext: str
@@ -89,7 +208,7 @@ class CrackResult:
         }
 
 
-def crack(hs: "HashStore", candidates: Iterable[CandidateRecord],
+def crack(hs: HashStore, candidates: Iterable[CandidateRecord],
           algorithm: str | None = None, threads: int = 1,
           chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> CrackResult:
     """Hash every candidate once, in stream order, and match it against the store.
@@ -122,6 +241,6 @@ def crack(hs: "HashStore", candidates: Iterable[CandidateRecord],
             matches.append(Match(d, cand, base, rule_id))
     elapsed = time.perf_counter() - start
 
-    matches.sort(key=lambda m: (m.digest, m.plaintext, m.base_word, m.rule_id))
+    matches.sort()
     throughput = attempted / elapsed if elapsed > 0 else 0.0
     return CrackResult(attempted, recovered_new, matches, elapsed, throughput)

@@ -222,6 +222,26 @@ def test_crack_end_to_end(capsys, tmp_path, wordfile):
     assert "recovered 1" in err
 
 
+
+def test_crack_no_dedup_prints_each_recovery_once(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("pass\n")
+    target = hashlib.md5(b"p@ss").hexdigest()
+    hashes = tmp_path / "hashes.txt"
+    hashes.write_text(target + "\n")
+    pot = tmp_path / "out.pot"
+    code, out, _ = run_cli(capsys, "crack", "--hashes", hashes, "-w", words,
+                           "--no-dedup", "--potfile", pot)
+    assert code == 0
+    assert out.encode("utf-8") == pot.read_bytes() == f"{target}:p@ss\n".encode()
+    # --json keeps every match, each with the rule that made it
+    code, out, _ = run_cli(capsys, "crack", "--hashes", hashes, "-w", words,
+                           "--no-dedup", "--json")
+    matches = json.loads(out)["matches"]
+    assert len(matches) > 1
+    assert len({m["rule_id"] for m in matches}) == len(matches)
+    assert {(m["plaintext"], m["base_word"]) for m in matches} == {("p@ss", "pass")}
+
 def test_crack_json_summary(capsys, tmp_path, wordfile):
     hashes = tmp_path / "hashes.txt"
     hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n")
@@ -310,6 +330,20 @@ def test_detect_without_passwords_is_usage_error(capsys, wordfile):
     assert code == 1
     assert out == ""
 
+
+
+def test_detect_checks_for_passwords_before_reading_inputs(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "detect", "--dict", tmp_path / "missing.txt")
+    assert code == 1
+    assert out == ""
+    assert "no passwords given" in err
+
+
+def test_detect_empty_stdin_audits_nothing(capsys, monkeypatch, wordfile):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+    code, out, err = run_cli(capsys, "detect", "--dict", wordfile, "--stdin")
+    assert code == 0
+    assert out == err == ""
 
 def test_detect_stdin_decodes_utf8_and_strips_crlf(capsys, monkeypatch, tmp_path):
     words = tmp_path / "words.txt"
@@ -522,6 +556,25 @@ def test_bench_refuses_json_and_potfile_to_one_file(capsys, monkeypatch, tmp_pat
     assert "--json and --potfile name the same file" in err
     assert not (tmp_path / "report.json").exists()
 
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["crack", "--hashes", "h.txt", "-w", "w.txt", "--potfile", "./h.txt"], "h.txt"),
+    (["gen", "-w", "w.txt", "-o", "./w.txt"], "w.txt"),
+    (["gen", "-w", "w.txt", "-r", "r.rules", "-o", "./r.rules"], "r.rules"),
+    (["bench", "-w", "w.txt", "--hashes", "h.txt", "--json", "./h.txt"], "h.txt"),
+], ids=["crack-potfile-hashes", "gen-output-wordlist", "gen-output-rules", "bench-json-hashes"])
+def test_output_may_not_replace_an_input(capsys, monkeypatch, tmp_path, argv, target):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"w.txt": b"password\n", "r.rules": b"A\ta>@\n",
+              "h.txt": hashlib.md5(b"p@ssword").hexdigest().encode() + b"\n"}
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{argv[argv.index(target) - 1]} and {argv[-2]} name the same file" in err
+    assert (tmp_path / target).read_bytes() == inputs[target]
 
 @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
 def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):

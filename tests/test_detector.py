@@ -6,7 +6,7 @@ import random
 import string
 import sys
 
-from leetforge import WordList, apply_rule, audit, builtin_rules, deleet, parse_rules
+from leetforge import WordList, apply_rule, audit, builtin_rules, deleet, detector, parse_rules
 from oracles import audit_reference
 from synthetic import case_noise, random_custom_rules
 
@@ -112,6 +112,27 @@ def test_deleet_and_audit_match_unscreened_reference():
     assert found > 5000
     assert deleet("cb", named, WordList.from_words(["BA"])) == [("ba", "chain")]
     assert deleet("ab", named, WordList.from_words(["ab"])) == [("Ab", "fold")]
+
+
+def test_inverse_screen_spares_search_where_casefold_changes_length(monkeypatch):
+    # str@ße casefolds to str@sse, which lines up with no bucket word, so each
+    # rule deleet tries there runs _search_base. A rule can only produce a
+    # password holding one of its replacement characters; of the 67 builtin
+    # rules, 15 have a replacement in these passwords, and the screen passes fewer.
+    calls = []
+    search = detector._search_base
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(detector, "_search_base", counting)
+    for pw, word in [("str@\u00dfe", "strasse"), ("fu\u00dfb@ll", "fussball")]:
+        assert _audit_as_reference(pw, RS, [word]) > 0
+        calls.clear()
+        deleet(pw, RS, WordList.from_words([word]))
+        may_produce = sum(1 for r in RS if set(pw) & {p.replacement for p in r.pairs})
+        assert 0 < len(calls) <= may_produce
 
 
 def test_deleet_verification_is_sound():
