@@ -8,7 +8,7 @@ from .detector import DetectionResult, Finding, audit, deleet
 from .errors import (AlgorithmMismatchError, ExportError, HashFormatError,
                      HashStoreError, InputFormatError, LeetforgeError,
                      RuleParseError, UnknownAlgorithmError, WordlistDecodeError)
-from .generator import (CandidateRecord, CandidateStream, GenOptions, GenStats,
+from .generator import (CandidateRecord, CandidateStream, GenStats,
                         apply_rule, base_candidates, generate)
 from .rules import (BASE_RULE_ID, CharPair, ReplacementRule, RuleSet, builtin_rules,
                     export_hashcat, parse_rules, serialize_rules)
@@ -19,7 +19,7 @@ __all__ = [
     "ALGORITHMS", "BASE_RULE_ID", "DEFAULT_CHUNK_BYTES",
     "AlgorithmMismatchError", "BenchReport", "CandidateRecord", "CandidateStream",
     "CharPair", "CrackResult", "DetectionResult", "ExportError", "Finding",
-    "GenOptions", "GenStats", "HashFormatError", "HashStore", "HashStoreError",
+    "GenStats", "HashFormatError", "HashStore", "HashStoreError",
     "InputFormatError", "LeetforgeError", "Match", "ReplacementRule",
     "RuleParseError", "RuleSet", "UnknownAlgorithmError", "WordList",
     "WordlistDecodeError", "apply_rule", "audit", "base_candidates",

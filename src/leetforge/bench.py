@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .corpus import WordList
 from .cracker import crack, format_potfile, load_hashes
-from .generator import GenOptions, base_candidates, generate
+from .generator import base_candidates, generate
 from .rules import RuleSet
 
 
@@ -47,31 +47,28 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet,
-                  opts: GenOptions | None = None, *, patterns_only: bool = False,
-                  algorithm: str = "md5", threads: int = 1,
+def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet, *,
+                  patterns_only: bool = False, strict_multi: bool = False,
+                  dedup: bool = True, algorithm: str = "md5", threads: int = 1,
                   ruleset_name: str = "builtin",
                   potfile_path: str | Path | None = None) -> BenchReport:
     """Measure pattern-rule uplift over a plain-wordlist baseline.
 
     The pattern phase includes the base words unless patterns_only is set, so
-    by default it is a strict superset of the baseline run. opts contributes
-    the strict_multi/dedup knobs; its include_base is overridden by the
-    benchmark design. When potfile_path is given, the pattern phase's
-    recovered entries are written there. threads has no effect:
+    by default it is a strict superset of the baseline run. strict_multi and
+    dedup are passed to generate. When potfile_path is given, the pattern
+    phase's recovered entries are written there. threads has no effect:
     perfbench/workloads.py is its only user, so it goes when that file stops
     passing it.
     """
-    opts = opts or GenOptions()
-    gen_opts = GenOptions(include_base=not patterns_only,
-                          strict_multi=opts.strict_multi, dedup=opts.dedup)
     started = _utcnow()
     # The digest list is parsed and checked once; each phase matches into a
     # fresh store over the same digests.
     baseline_store = load_hashes(hash_source, algorithm)
     baseline = crack(baseline_store, base_candidates(wl))
     pattern_store = baseline_store.fresh()
-    stream = generate(wl, rs, gen_opts)
+    stream = generate(wl, rs, include_base=not patterns_only,
+                      strict_multi=strict_multi, dedup=dedup)
     pattern = crack(pattern_store, stream)
     finished = _utcnow()
     if potfile_path is not None:
@@ -86,13 +83,8 @@ def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet,
         uplift_percent=uplift(baseline.recovered_new, pattern.recovered_new),
         throughput={"baseline": baseline.throughput, "pattern": pattern.throughput},
         ruleset_name=ruleset_name,
-        options={
-            "include_base": gen_opts.include_base,
-            "strict_multi": gen_opts.strict_multi,
-            "dedup": gen_opts.dedup,
-            "patterns_only": patterns_only,
-            "algorithm": algorithm,
-        },
+        options={"include_base": not patterns_only, "strict_multi": strict_multi,
+                 "dedup": dedup, "patterns_only": patterns_only, "algorithm": algorithm},
         started_at=started,
         finished_at=finished,
     )

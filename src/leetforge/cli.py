@@ -17,8 +17,8 @@ from .corpus import load_wordlist_files, read_lines
 from .cracker import ALGORITHMS, crack, format_potfile, load_hashes
 from .detector import audit
 from .errors import InputFormatError, LeetforgeError
-from .generator import GenOptions, base_candidates, generate
-from .rules import builtin_rules, export_hashcat, parse_rules, serialize_rules
+from .generator import base_candidates, generate
+from .rules import RuleSet, builtin_rules, export_hashcat, parse_rules, serialize_rules
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,16 +34,30 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_rules(source: str):
-    if source == "builtin":
-        return builtin_rules()
-    return parse_rules(Path(source).read_bytes())
+# -r values that name no file; a rule file called none is given as ./none
+RESERVED_RULES = ("builtin", "none")
+
+
+def _load_rules(source: str) -> RuleSet:
+    if source not in RESERVED_RULES:
+        return parse_rules(Path(source).read_bytes())
+    return builtin_rules() if source == "builtin" else RuleSet(())
 
 
 def _open_out(path: str | None):
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
+
+
+def _file_key(path: str) -> tuple[int, int] | str:
+    """(device, inode) of a path that exists, so a hard link matches its
+    target; the real path of one that does not exist yet."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def _output_clash(args, *outputs: tuple[str, str | None]) -> bool:
@@ -55,12 +69,12 @@ def _output_clash(args, *outputs: tuple[str, str | None]) -> bool:
     """
     inputs = [("--hashes", getattr(args, "hashes", None))]
     inputs += [("-w", path) for path in args.wordlist]
-    if args.rules not in ("builtin", "none"):
+    if args.rules not in RESERVED_RULES:
         inputs.append(("-r", args.rules))
-    flags = {os.path.realpath(path): flag for flag, path in inputs if path}
+    flags = {_file_key(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if path:
-            same = flags.setdefault(os.path.realpath(path), flag)
+            same = flags.setdefault(_file_key(path), flag)
             if same != flag:
                 print(f"leetforge {args.command}: {same} and {flag} name the same file; "
                       f"give each its own path", file=sys.stderr)
@@ -81,9 +95,8 @@ def cmd_gen(args) -> int:
                 raise InputFormatError(
                     f"word {word!r} contains a TAB, which --provenance uses "
                     f"as its field separator")
-    opts = GenOptions(include_base=args.include_base,
+    stream = generate(wl, rs, include_base=args.include_base,
                       strict_multi=args.strict_multi, dedup=not args.no_dedup)
-    stream = generate(wl, rs, opts)
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(_open_out(args.output))
         prov = None
@@ -103,21 +116,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_crack(args) -> int:
-    if args.rules == "none" and args.patterns_only:
-        print("leetforge crack: --patterns-only needs rules to mangle with "
-              "(-r none tries only the base words)", file=sys.stderr)
-        return EXIT_USAGE
     if _output_clash(args, ("--potfile", args.potfile)):
+        return EXIT_USAGE
+    rs = _load_rules(args.rules)
+    if args.patterns_only and not rs:
+        print("leetforge crack: --patterns-only needs rules to mangle with "
+              "(with no rules, crack tries only the base words)", file=sys.stderr)
         return EXIT_USAGE
     store = load_hashes(Path(args.hashes).read_bytes(), args.algorithm)
     wl = load_wordlist_files(args.wordlist)
-    if args.rules == "none":
+    if rs:
+        candidates = generate(wl, rs, include_base=not args.patterns_only,
+                              strict_multi=args.strict_multi, dedup=not args.no_dedup)
+    else:  # the base words are distinct already: no dedup sets to build
         candidates = base_candidates(wl)
-    else:
-        rs = _load_rules(args.rules)
-        opts = GenOptions(include_base=not args.patterns_only,
-                          strict_multi=args.strict_multi, dedup=not args.no_dedup)
-        candidates = generate(wl, rs, opts)
     result = crack(store, candidates)
     recoveries = format_potfile(store)
     if args.potfile:
@@ -161,9 +173,8 @@ def cmd_bench(args) -> int:
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
     report = run_benchmark(
-        wl, Path(args.hashes).read_bytes(), rs,
-        GenOptions(strict_multi=args.strict_multi, dedup=not args.no_dedup),
-        patterns_only=args.patterns_only, algorithm=args.algorithm,
+        wl, Path(args.hashes).read_bytes(), rs, patterns_only=args.patterns_only,
+        strict_multi=args.strict_multi, dedup=not args.no_dedup, algorithm=args.algorithm,
         ruleset_name=args.rules, potfile_path=args.potfile)
     doc = json.dumps(report.to_dict(), indent=2)
     print(doc)
@@ -204,9 +215,10 @@ def _add_wordlist_arg(p):
                    help="wordlist file, one word per line (repeatable)")
 
 
-def _add_rules_arg(p, also: str = ""):
+def _add_rules_arg(p):
     p.add_argument("-r", "--rules", default="builtin", metavar="FILE",
-                   help=f"rule file, or 'builtin' for the canonical set (default){also}")
+                   help="rule file, 'builtin' for the canonical set (default) or "
+                        "'none' for no rules; ./none names a file called none")
 
 
 def _add_algorithm_arg(p):
@@ -243,7 +255,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--hashes", required=True, metavar="FILE",
                    help="digest file, one hex digest per line")
     _add_wordlist_arg(p)
-    _add_rules_arg(p, also="; 'none' tries the base words only")
+    _add_rules_arg(p)
     p.add_argument("--patterns-only", action="store_true",
                    help="try only the mangles, not the base words")
     _add_gen_toggles(p)

@@ -28,8 +28,8 @@ class ExportError(InputFormatError):
 class WordlistDecodeError(InputFormatError):
     """Text input (word list, digest list, rule file, stdin) that is not UTF-8."""
 
-    def __init__(self, source: str, line: int, message: str = "invalid UTF-8"):
-        super().__init__(f"{source}, line {line}: {message}")
+    def __init__(self, source: str, line: int):
+        super().__init__(f"{source}, line {line}: invalid UTF-8")
         self.source = source
         self.line = line
 

@@ -19,13 +19,6 @@ class CandidateRecord(NamedTuple):
     rule_id: str
 
 
-@dataclass(frozen=True)
-class GenOptions:
-    include_base: bool = False   # also emit the unmangled words, ahead of the mangles
-    strict_multi: bool = False   # dual/triad rules require every source char present
-    dedup: bool = True
-
-
 @dataclass
 class GenStats:
     suppressed_duplicates: int = 0
@@ -85,8 +78,8 @@ def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None],
     return [shared if counts[key] > 1 else own for key in keys]
 
 
-def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
-                stats: GenStats) -> Iterator[CandidateRecord]:
+def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: bool,
+                dedup: bool, stats: GenStats) -> Iterator[CandidateRecord]:
     # Dedup keys are the candidates' UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
     # as the strings would, in less memory per entry. Only words that share a
@@ -94,10 +87,10 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
     # word dedups its mangles in `own`, cleared for each word.
     shared: set[bytes] = set()
     own: set[bytes] = set()
-    word_sets = (_dedup_sets(wl.words, rs.fold, shared, own) if opts.dedup
+    word_sets = (_dedup_sets(wl.words, rs.fold, shared, own) if dedup
                  else itertools.repeat(None))
     new = tuple.__new__   # builds a CandidateRecord without NamedTuple.__new__'s call overhead
-    if opts.include_base:
+    if include_base:
         for word, seen in zip(wl.words, word_sets):
             if seen is shared:
                 wb = word.encode("utf-8", "surrogatepass")
@@ -110,7 +103,7 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
     # flattened per-rule data keeps the inner loop free of attribute lookups;
     # the last field is the rule only when strict_multi can drop its output
     compiled = [(r.id, r.arity, r.byte_table, r.translation,
-                 r if opts.strict_multi and len(r.pairs) > 1 else None) for r in rs]
+                 r if strict_multi and len(r.pairs) > 1 else None) for r in rs]
     by_arity = stats.by_arity
     for word, seen in zip(wl.words, word_sets):
         if seen is own:
@@ -141,13 +134,14 @@ def _candidates(wl: WordList, rs: RuleSet, opts: GenOptions,
             yield new(CandidateRecord, (out, word, rule_id))
 
 
-def generate(wl: WordList, rs: RuleSet,
-             opts: GenOptions = GenOptions()) -> CandidateStream:
+def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
+             strict_multi: bool = False, dedup: bool = True) -> CandidateStream:
     """Stream candidates word-major, applying rules in rule-set order.
 
     With include_base all base words stream ahead of the mangles, so a mangle
-    colliding with any base word is the one that gets suppressed. Dedup is
-    global across the whole stream and keeps the first emission's provenance.
+    colliding with any base word is the one that gets suppressed. strict_multi
+    is as in apply_rule. Dedup is global across the whole stream and keeps the
+    first emission's provenance.
 
     It stays exact without a set of every candidate. RuleSet.fold gives
     apply_rule(b, r) == p only when b and p have the same fold key,
@@ -158,7 +152,7 @@ def generate(wl: WordList, rs: RuleSet,
     its mangles in a set of its own, emptied when the next word starts.
     """
     stats = GenStats()
-    return CandidateStream(_candidates(wl, rs, opts, stats), stats)
+    return CandidateStream(_candidates(wl, rs, include_base, strict_multi, dedup, stats), stats)
 
 
 def base_candidates(wl: WordList) -> Iterator[CandidateRecord]:

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import leetforge
-from leetforge import (GenOptions, WordList, apply_rule, audit, builtin_rules,
+from leetforge import (WordList, apply_rule, audit, builtin_rules,
                        crack, generate, load_hashes, run_benchmark, uplift)
 from leetforge.rules import export_hashcat
 from oracles import generate_reference, md5_reference, simulate_hashcat_line
@@ -166,8 +166,7 @@ def test_generate_equals_brute_force():
         wl = WordList.from_words(words)
         include_base = trial % 2 == 0
         strict = trial % 3 == 0
-        stream = generate(wl, RS, GenOptions(include_base=include_base,
-                                             strict_multi=strict))
+        stream = generate(wl, RS, include_base=include_base, strict_multi=strict)
         got = [rec.candidate for rec in stream]
         records, _ = generate_reference(wl.words, RS, include_base=include_base,
                                         strict_multi=strict)
@@ -306,7 +305,7 @@ def test_throughput_informational():
     words, hash_text, _, _ = planted_corpus(25_000, 100, 100)
     wl = WordList.from_words(words)
     hs = load_hashes(hash_text)
-    records = list(generate(wl, RS, GenOptions(include_base=True)))
+    records = list(generate(wl, RS, include_base=True))
     result = crack(hs, records)
     assert result.throughput > 0
     _report("throughput",

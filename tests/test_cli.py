@@ -294,9 +294,53 @@ def test_crack_digest_with_inner_whitespace_is_input_error(capsys, tmp_path, wor
 
 
 def test_crack_help_names_rules_none(capsys):
-    code, out, _ = run_cli(capsys, "crack", "--help")
+    for command in ("gen", "crack", "detect", "bench", "export-rules"):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "'none' for no rules; ./none names a file called none" in " ".join(out.split())
+
+
+def test_rules_none_is_an_empty_rule_set_in_every_command(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("w.txt").write_text("dragon\npassword\ndragon\n")
+    code, out, _ = run_cli(capsys, "gen", "-w", "w.txt", "-r", "none", "--include-base")
+    assert (code, out) == (0, "dragon\npassword\n")
+    code, out, _ = run_cli(capsys, "detect", "-p", "password", "-p", "p@ssw0rd",
+                           "--dict", "w.txt", "-r", "none")
     assert code == 0
-    assert "'none' tries the base words only" in " ".join(out.split())
+    assert [json.loads(line)["findings"] for line in out.splitlines()] == \
+        [[{"base_word": "password", "rule_id": "BASE"}], []]
+    assert run_cli(capsys, "export-rules", "-r", "none")[:2] == (0, "")
+    Path("h.txt").write_text(hashlib.md5(b"dragon").hexdigest() + "\n"
+                             + hashlib.md5(b"dr4gon").hexdigest() + "\n")
+    code, out, _ = run_cli(capsys, "bench", "-w", "w.txt", "--hashes", "h.txt", "-r", "none")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["baseline_recovered"], doc["pattern_recovered"]) == (1, 1)
+    assert doc["uplift_percent"] == "0.0"
+
+
+def test_rules_none_does_not_read_a_file_called_none(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("w.txt").write_text("dragon\n")
+    Path("none").write_text("X\to>0\n")
+    code, out, _ = run_cli(capsys, "gen", "-w", "w.txt", "-r", "none", "--include-base")
+    assert (code, out) == (0, "dragon\n")
+    code, out, _ = run_cli(capsys, "gen", "-w", "w.txt", "-r", "./none", "--include-base")
+    assert (code, out) == (0, "dragon\ndrag0n\n")
+
+
+@pytest.mark.parametrize("text", ["", "# comments only\n"])
+def test_crack_patterns_only_with_empty_rule_file_is_usage_error(capsys, tmp_path,
+                                                                  wordfile, text):
+    rules = tmp_path / "empty.rules"
+    rules.write_text(text)
+    # the digest list does not exist: the refusal comes before it is read
+    code, out, err = run_cli(capsys, "crack", "--hashes", tmp_path / "missing.txt",
+                             "-w", wordfile, "-r", rules, "--patterns-only")
+    assert code == 1
+    assert out == ""
+    assert "--patterns-only" in err
 
 
 @pytest.mark.parametrize("input_kind", ["digest list", "rule file"])
@@ -545,6 +589,37 @@ def test_bench_end_to_end(capsys, tmp_path):
     assert "uplift" in err
 
 
+@pytest.mark.parametrize("flag,options", [("--patterns-only", {"patterns_only": True}),
+                                          ("--strict-multi", {"strict_multi": True}),
+                                          ("--no-dedup", {"dedup": False})])
+def test_bench_flags_reach_run_benchmark(capsys, tmp_path, flag, options):
+    words = tmp_path / "w.txt"
+    words.write_text("pass\np4ss\ndragon\nsolo\njessica\n")
+    rules = tmp_path / "r.rules"
+    rules.write_text("D\ta>4,o>0\nS\ts>$\n")
+    hashes = tmp_path / "h.txt"
+    hashes.write_text("".join(hashlib.md5(w.encode()).hexdigest() + "\n"
+                              for w in ("dragon", "p4ss", "dr4g0n", "pa$$")))
+    report_file = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "bench", "-w", words, "--hashes", hashes, "-r", rules,
+                         flag, "--json", report_file)
+    assert code == 0
+
+    def report(**kwargs):
+        doc = leetforge.run_benchmark(
+            leetforge.load_wordlist_files([str(words)]), hashes.read_bytes(),
+            leetforge.parse_rules(rules.read_bytes()), ruleset_name=str(rules),
+            **kwargs).to_dict()
+        return {k: v for k, v in doc.items()
+                if k not in ("started_at", "finished_at", "throughput")}
+
+    expected = report(**options)
+    assert {k: v for k, v in json.loads(report_file.read_text()).items()
+            if k in expected} == expected
+    # each flag changes what is generated, so a dropped flag would show
+    assert expected["candidate_count"] != report()["candidate_count"]
+
+
 @pytest.mark.parametrize("spelling", ["report.json", "./report.json"])
 def test_bench_refuses_json_and_potfile_to_one_file(capsys, monkeypatch, tmp_path, spelling):
     monkeypatch.chdir(tmp_path)
@@ -563,13 +638,16 @@ def test_bench_refuses_json_and_potfile_to_one_file(capsys, monkeypatch, tmp_pat
     (["gen", "-w", "w.txt", "-o", "./w.txt"], "w.txt"),
     (["gen", "-w", "w.txt", "-r", "r.rules", "-o", "./r.rules"], "r.rules"),
     (["bench", "-w", "w.txt", "--hashes", "h.txt", "--json", "./h.txt"], "h.txt"),
-], ids=["crack-potfile-hashes", "gen-output-wordlist", "gen-output-rules", "bench-json-hashes"])
+    (["gen", "-w", "w.txt", "-o", "w-link.txt"], "w.txt"),
+], ids=["crack-potfile-hashes", "gen-output-wordlist", "gen-output-rules", "bench-json-hashes",
+        "gen-output-hard-link-to-wordlist"])
 def test_output_may_not_replace_an_input(capsys, monkeypatch, tmp_path, argv, target):
     monkeypatch.chdir(tmp_path)
     inputs = {"w.txt": b"password\n", "r.rules": b"A\ta>@\n",
               "h.txt": hashlib.md5(b"p@ssword").hexdigest().encode() + b"\n"}
     for name, data in inputs.items():
         (tmp_path / name).write_bytes(data)
+    os.link(tmp_path / "w.txt", tmp_path / "w-link.txt")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import leetforge
-from leetforge import (AlgorithmMismatchError, GenOptions, HashStoreError,
+from leetforge import (AlgorithmMismatchError, HashStoreError,
                        UnknownAlgorithmError, WordList, base_candidates, builtin_rules,
                        crack, digest_of, generate, load_hashes)
 from leetforge.cracker import _CONSTRUCTORS
@@ -148,7 +148,7 @@ def test_crack_hashes_each_candidate_once(monkeypatch):
     words, hash_text, _, _ = planted_corpus(200, 40, 40)
     hs = load_hashes(hash_text)
     result = crack(hs, generate(WordList.from_words(words), RS,
-                                GenOptions(include_base=True, dedup=False)))
+                                include_base=True, dedup=False))
     assert result.recovered_new == 80
     assert len(result.matches) > 80   # dedup off: some digests are hit more than once
     assert len(calls) == result.attempted
@@ -157,7 +157,7 @@ def test_crack_hashes_each_candidate_once(monkeypatch):
 def test_mark_recovered_keeps_its_checks_after_crack():
     words, hash_text, plain, _ = planted_corpus(50, 10, 10)
     hs = load_hashes(hash_text)
-    crack(hs, generate(WordList.from_words(words), RS, GenOptions(include_base=True)))
+    crack(hs, generate(WordList.from_words(words), RS, include_base=True))
     assert len(hs.recovered) == 20
     with pytest.raises(HashStoreError, match="does not hash"):
         hs.mark_recovered(digest_of(plain[0]), plain[1])
@@ -203,9 +203,9 @@ def test_crack_second_run_recovers_nothing_new():
     words, hash_text, _, _ = planted_corpus(50, 10, 10)
     hs = load_hashes(hash_text)
     wl = WordList.from_words(words)
-    first = crack(hs, generate(wl, RS, GenOptions(include_base=True)))
+    first = crack(hs, generate(wl, RS, include_base=True))
     assert first.recovered_new == 20
-    second = crack(hs, generate(wl, RS, GenOptions(include_base=True)))
+    second = crack(hs, generate(wl, RS, include_base=True))
     assert second.recovered_new == 0
     # matches still reported even though already recovered
     assert len(second.matches) == len(first.matches)
@@ -216,7 +216,7 @@ def test_crack_baseline_vs_pattern_counts():
     wl = WordList.from_words(words)
     baseline = crack(load_hashes(hash_text), base_candidates(wl))
     assert baseline.recovered_new == 40
-    pattern = crack(load_hashes(hash_text), generate(wl, RS, GenOptions(include_base=True)))
+    pattern = crack(load_hashes(hash_text), generate(wl, RS, include_base=True))
     assert pattern.recovered_new == 80
 
 

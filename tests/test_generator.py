@@ -8,7 +8,7 @@ import random
 import string
 import tracemalloc
 
-from leetforge import (BASE_RULE_ID, CharPair, GenOptions, ReplacementRule, RuleSet,
+from leetforge import (BASE_RULE_ID, CharPair, ReplacementRule, RuleSet,
                        WordList, apply_rule, base_candidates, builtin_rules, generate,
                        parse_rules)
 from leetforge.generator import CandidateRecord
@@ -18,8 +18,8 @@ from synthetic import random_custom_rules
 RS = builtin_rules()
 
 
-def _records(wl, rs, opts=GenOptions()):
-    stream = generate(wl, rs, opts)
+def _records(wl, rs, **options):
+    stream = generate(wl, rs, **options)
     return list(stream), stream.stats
 
 
@@ -111,7 +111,7 @@ def test_generate_word_major_rule_order():
 def test_generate_base_words_stream_first_and_win_dedup():
     wl = WordList.from_words(["loss", "l0ss"])
     rs = parse_rules("O\to>0\n")
-    records, stats = _records(wl, rs, GenOptions(include_base=True))
+    records, stats = _records(wl, rs, include_base=True)
     assert [(r.candidate, r.rule_id) for r in records] == \
         [("loss", BASE_RULE_ID), ("l0ss", BASE_RULE_ID)]
     assert {type(r) for r in records} == {CandidateRecord}
@@ -136,7 +136,7 @@ def test_generate_dedup_keeps_first_provenance():
 
 def test_generate_no_dedup_counts_everything():
     wl = WordList.from_words(["pass"])
-    records, stats = _records(wl, RS, GenOptions(dedup=False))
+    records, stats = _records(wl, RS, dedup=False)
     assert stats.suppressed_duplicates == 0
     cands = [r.candidate for r in records]
     assert cands.count("p@ss") > 1
@@ -164,8 +164,8 @@ def test_generate_dedup_memory_does_not_grow_with_unshared_words():
 
 def test_generate_deterministic():
     wl = WordList.from_words(["password", "dragon", "jessica"])
-    a, _ = _records(wl, RS, GenOptions(include_base=True))
-    b, _ = _records(wl, RS, GenOptions(include_base=True))
+    a, _ = _records(wl, RS, include_base=True)
+    b, _ = _records(wl, RS, include_base=True)
     assert a == b
 
 
@@ -177,8 +177,7 @@ def test_generate_emission_bound_and_stats():
                  for _ in range(rng.randint(0, 25))]
         wl = WordList.from_words(words)
         include_base = rng.random() < 0.5
-        opts = GenOptions(include_base=include_base)
-        records, stats = _records(wl, RS, opts)
+        records, stats = _records(wl, RS, include_base=include_base)
         assert stats.emitted == len(records)
         assert stats.emitted <= len(wl) * (len(RS) + (1 if include_base else 0))
         assert stats.emitted == sum(stats.by_arity.values())
@@ -196,8 +195,8 @@ def test_generate_matches_brute_force_small():
         wl = WordList.from_words(words)
         for include_base in (False, True):
             for strict in (False, True):
-                opts = GenOptions(include_base=include_base, strict_multi=strict)
-                records, stats = _records(wl, RS, opts)
+                records, stats = _records(wl, RS, include_base=include_base,
+                                          strict_multi=strict)
                 reference, _ = generate_reference(wl.words, RS, include_base=include_base,
                                                   strict_multi=strict)
                 expected = {candidate for candidate, _, _ in reference}
@@ -234,8 +233,8 @@ def _random_mixed_rules(rng, n):
 def _assert_matches_ordered_reference(wl, rs):
     """Records and GenStats equal generate_reference's under all 8 option combinations."""
     for include_base, strict, dedup in itertools.product((False, True), repeat=3):
-        opts = GenOptions(include_base=include_base, strict_multi=strict, dedup=dedup)
-        records, stats = _records(wl, rs, opts)
+        records, stats = _records(wl, rs, include_base=include_base, strict_multi=strict,
+                                  dedup=dedup)
         expected, counts = generate_reference(wl.words, rs, include_base=include_base,
                                               strict_multi=strict, dedup=dedup)
         assert [tuple(r) for r in records] == expected
@@ -291,6 +290,6 @@ def test_generate_matches_ordered_reference_on_colliding_words():
 
 
 def test_empty_wordlist_generates_nothing():
-    records, stats = _records(WordList.from_words([]), RS, GenOptions(include_base=True))
+    records, stats = _records(WordList.from_words([]), RS, include_base=True)
     assert records == []
     assert stats.emitted == 0
