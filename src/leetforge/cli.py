@@ -102,10 +102,11 @@ def cmd_gen(args) -> int:
         prov = None
         if args.provenance:
             prov = stack.enter_context(open(args.provenance, "w", encoding="utf-8"))
-        for rec in stream:
-            out.write(rec.candidate + "\n")
+        for cand, base, rule_id in stream:
+            text = cand.decode("utf-8", "surrogatepass")
+            out.write(text + "\n")
             if prov is not None:
-                prov.write(f"{rec.candidate}\t{rec.base_word}\t{rec.rule_id}\n")
+                prov.write(f"{text}\t{base}\t{rule_id}\n")
     if args.stats_json:
         Path(args.stats_json).write_text(
             json.dumps(stream.stats.to_dict(), indent=2) + "\n", encoding="utf-8")

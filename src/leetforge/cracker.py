@@ -114,12 +114,14 @@ class HashStore:
                 f"digest width {len(digest)} != {self.digest_width} for {self.algorithm}")
         return digest in self._digests
 
-    def mark_recovered(self, digest: bytes, plaintext: str) -> bool:
-        """Record digest -> plaintext; True only for the first recovery of a digest."""
+    def mark_recovered(self, digest: bytes, plaintext: str | bytes) -> bool:
+        """Record digest -> plaintext, decoding bytes; True only on a digest's first recovery."""
         if digest not in self:
             raise HashStoreError(f"digest {digest.hex()} is not in the store")
         if digest_of(plaintext, self.algorithm) != digest:
             raise HashStoreError(f"plaintext {plaintext!r} does not hash to {digest.hex()}")
+        if isinstance(plaintext, bytes):
+            plaintext = plaintext.decode("utf-8", "surrogatepass")
         return self._record(digest, plaintext)
 
     def _record(self, digest: bytes, plaintext: str) -> bool:
@@ -213,12 +215,12 @@ def crack(hs: HashStore, candidates: Iterable[CandidateRecord],
           chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> CrackResult:
     """Hash every candidate once, in stream order, and match it against the store.
 
-    Hits are recorded as mark_recovered records them (atomic, first plaintext
-    wins), without hashing them again, and recovered_new counts only digests
-    newly recovered by this call. Matches come back sorted by digest.
-    threads and chunk_bytes have no effect: matching always runs on the
-    calling thread. perfbench/workloads.py is their only user, so they go
-    when that file stops passing them.
+    Candidates are hashed as bytes and only hits are decoded. Hits are recorded
+    as mark_recovered records them (atomic, first plaintext wins), without
+    hashing them again; recovered_new counts only digests newly recovered by
+    this call. Matches come back sorted by digest. threads and chunk_bytes
+    have no effect: matching always runs on the calling thread.
+    perfbench/workloads.py is their only user, so they go when it stops passing them.
     """
     if algorithm is None:
         algorithm = hs.algorithm
@@ -232,13 +234,13 @@ def crack(hs: HashStore, candidates: Iterable[CandidateRecord],
     recovered_new = 0
     matches: list[Match] = []
     start = time.perf_counter()
-    for cand, base, rule_id in candidates:
-        attempted += 1
-        d = hasher(cand.encode("utf-8", "surrogatepass")).digest()
+    for attempted, (cand, base, rule_id) in enumerate(candidates, 1):
+        d = hasher(cand).digest()
         if d in digests:
-            if hs._record(d, cand):   # d is cand's digest and in the store
+            plaintext = cand.decode("utf-8", "surrogatepass")
+            if hs._record(d, plaintext):   # d is cand's digest and in the store
                 recovered_new += 1
-            matches.append(Match(d, cand, base, rule_id))
+            matches.append(Match(d, plaintext, base, rule_id))
     elapsed = time.perf_counter() - start
 
     matches.sort()

@@ -12,9 +12,9 @@ from .rules import BASE_RULE_ID, ReplacementRule, RuleSet
 
 
 class CandidateRecord(NamedTuple):
-    """A generated candidate with its provenance."""
+    """A generated candidate, as UTF-8 bytes ("surrogatepass"), with its provenance."""
 
-    candidate: str
+    candidate: bytes
     base_word: str
     rule_id: str
 
@@ -80,7 +80,7 @@ def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None],
 
 def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: bool,
                 dedup: bool, stats: GenStats) -> Iterator[CandidateRecord]:
-    # Dedup keys are the candidates' UTF-8 bytes ("surrogatepass" keeps lone
+    # Candidates and dedup keys are UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
     # as the strings would, in less memory per entry. Only words that share a
     # fold key keep their candidates in `shared` (see generate); any other
@@ -92,14 +92,14 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
     new = tuple.__new__   # builds a CandidateRecord without NamedTuple.__new__'s call overhead
     if include_base:
         for word, seen in zip(wl.words, word_sets):
+            wb = word.encode("utf-8", "surrogatepass")
             if seen is shared:
-                wb = word.encode("utf-8", "surrogatepass")
                 if wb in seen:
                     stats.suppressed_duplicates += 1
                     continue
                 seen.add(wb)
             stats.by_arity["base"] += 1
-            yield new(CandidateRecord, (word, word, BASE_RULE_ID))
+            yield new(CandidateRecord, (wb, word, BASE_RULE_ID))
     # flattened per-rule data keeps the inner loop free of attribute lookups;
     # the last field is the rule only when strict_multi can drop its output
     compiled = [(r.id, r.arity, r.byte_table, r.translation,
@@ -117,7 +117,6 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                 ob = wb.translate(byte_table)
                 if ob == wb:
                     continue
-                out = None
             else:
                 out = word.translate(table)
                 if out == word:
@@ -129,9 +128,7 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                     continue
                 seen.add(ob)
             by_arity[arity] += 1
-            if out is None:
-                out = ob.decode("utf-8", "surrogatepass")
-            yield new(CandidateRecord, (out, word, rule_id))
+            yield new(CandidateRecord, (ob, word, rule_id))
 
 
 def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
@@ -159,4 +156,4 @@ def base_candidates(wl: WordList) -> Iterator[CandidateRecord]:
     """The unmangled words as a candidate stream (rule id BASE)."""
     new = tuple.__new__
     for word in wl.words:
-        yield new(CandidateRecord, (word, word, BASE_RULE_ID))
+        yield new(CandidateRecord, (word.encode("utf-8", "surrogatepass"), word, BASE_RULE_ID))

@@ -18,6 +18,7 @@ import leetforge
 from leetforge import cli
 from leetforge.cli import main
 from leetforge.errors import HashStoreError
+from oracles import generate_reference
 from synthetic import planted_corpus
 
 
@@ -153,6 +154,29 @@ def test_gen_output_provenance_and_stats(capsys, tmp_path, wordfile):
     stats = json.loads(stats_file.read_text())
     assert stats["emitted"] == len(cands)
     assert stats["by_arity"]["base"] == 0
+
+
+def test_gen_files_match_reference_on_non_ascii_rules(capsys, tmp_path):
+    # byte-table rules (ASCII) mixed with str-table rules: a non-ASCII source,
+    # case-insensitive, and non-ASCII replacements, one of them case-sensitive
+    rule_text = ("A\ta>4\nSE\ts>$,e>3\nAE\t\u00e4>a\nEU\te>\u20ac\tcs\n"
+                 "OE\to>\u00f6\nUE\t\u00fc>u,s>5\n")
+    rs = leetforge.parse_rules(rule_text)
+    assert {r.byte_table is None for r in rs} == {False, True}
+    words = ["Passwort", "K\u00e4se", "Kase", "\u00c4RGER", "stra\u00dfe", "\u00d6l",
+             "caf\u00e9", "SeeSaw", "M\u00fcsli", "B\u00dcSSE", "kaese"]
+    word_file, rule_file = tmp_path / "words.txt", tmp_path / "mixed.rules"
+    word_file.write_bytes("".join(w + "\n" for w in words).encode("utf-8"))
+    rule_file.write_bytes(rule_text.encode("utf-8"))
+    out_file, prov_file = tmp_path / "cands.txt", tmp_path / "prov.tsv"
+    code, out, _ = run_cli(capsys, "gen", "-w", word_file, "-r", rule_file, "--include-base",
+                           "-o", out_file, "--provenance", prov_file)
+    assert (code, out) == (0, "")
+    records, _ = generate_reference(words, rs, include_base=True)
+    assert any(not c.isascii() for c, _, _ in records)
+    assert out_file.read_bytes() == "".join(f"{c}\n" for c, _, _ in records).encode("utf-8")
+    assert prov_file.read_bytes() == "".join(
+        f"{c}\t{base}\t{rule_id}\n" for c, base, rule_id in records).encode("utf-8")
 
 
 @pytest.mark.parametrize("first,second", [("-o", "--provenance"), ("-o", "--stats-json"),

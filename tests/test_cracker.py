@@ -133,11 +133,12 @@ def test_crack_empty_stream():
 
 def test_crack_counts_attempts_including_duplicates():
     hs = load_hashes(digest_of("aa").hex() + "\n")
-    recs = [CandidateRecord("aa", "aa", "BASE")] * 5
+    recs = [CandidateRecord(b"aa", "aa", "BASE")] * 5
     result = crack(hs, iter(recs))
     assert result.attempted == 5
     assert len(result.matches) == 5
     assert result.recovered_new == 1  # same digest only counts once
+    assert {m.plaintext for m in result.matches} == {"aa"}
 
 
 def test_crack_hashes_each_candidate_once(monkeypatch):

@@ -23,6 +23,11 @@ def _records(wl, rs, **options):
     return list(stream), stream.stats
 
 
+def _encoded(candidate):
+    """A reference candidate as generate() carries it: UTF-8 bytes, surrogatepass."""
+    return candidate.encode("utf-8", "surrogatepass")
+
+
 def test_apply_known_substitutions():
     assert apply_rule("jessica", RS.by_id("S39")) == "je$$ica"
     assert apply_rule("dragon", RS.by_id("S3")) == "dr4gon"
@@ -102,7 +107,7 @@ def test_generate_word_major_rule_order():
     wl = WordList.from_words(["ana"])
     rs = parse_rules("A\ta>0\nB\ta>1\n")
     records, stats = _records(wl, rs)
-    assert [r.candidate for r in records] == ["0n0", "1n1"]
+    assert [r.candidate for r in records] == [b"0n0", b"1n1"]
     assert [r.rule_id for r in records] == ["A", "B"]
     assert records[0].base_word == "ana"
     assert stats.emitted == 2
@@ -113,7 +118,7 @@ def test_generate_base_words_stream_first_and_win_dedup():
     rs = parse_rules("O\to>0\n")
     records, stats = _records(wl, rs, include_base=True)
     assert [(r.candidate, r.rule_id) for r in records] == \
-        [("loss", BASE_RULE_ID), ("l0ss", BASE_RULE_ID)]
+        [(b"loss", BASE_RULE_ID), (b"l0ss", BASE_RULE_ID)]
     assert {type(r) for r in records} == {CandidateRecord}
     assert [(r, type(r)) for r in base_candidates(wl)] == [(r, CandidateRecord) for r in records]
     # the mangled loss->l0ss lost to the base word l0ss
@@ -131,7 +136,7 @@ def test_generate_dedup_keeps_first_provenance():
     for r in records:
         assert r.candidate not in byc
         byc[r.candidate] = r
-    assert byc["p@ss"].rule_id == "S5"
+    assert byc[b"p@ss"].rule_id == "S5"
 
 
 def test_generate_no_dedup_counts_everything():
@@ -139,7 +144,7 @@ def test_generate_no_dedup_counts_everything():
     records, stats = _records(wl, RS, dedup=False)
     assert stats.suppressed_duplicates == 0
     cands = [r.candidate for r in records]
-    assert cands.count("p@ss") > 1
+    assert cands.count(b"p@ss") > 1
     assert stats.emitted == len(cands)
 
 
@@ -199,7 +204,7 @@ def test_generate_matches_brute_force_small():
                                           strict_multi=strict)
                 reference, _ = generate_reference(wl.words, RS, include_base=include_base,
                                                   strict_multi=strict)
-                expected = {candidate for candidate, _, _ in reference}
+                expected = {_encoded(candidate) for candidate, _, _ in reference}
                 assert {r.candidate for r in records} == expected
                 assert stats.emitted == len(expected)
 
@@ -237,7 +242,8 @@ def _assert_matches_ordered_reference(wl, rs):
                                   dedup=dedup)
         expected, counts = generate_reference(wl.words, rs, include_base=include_base,
                                               strict_multi=strict, dedup=dedup)
-        assert [tuple(r) for r in records] == expected
+        assert [tuple(r) for r in records] == \
+            [(_encoded(c), base, rule_id) for c, base, rule_id in expected]
         assert stats.to_dict() == counts
 
 

@@ -195,6 +195,16 @@ def test_mark_recovered_first_wins():
     assert hs.recovered[d] == "cat"
 
 
+def test_mark_recovered_stores_a_bytes_plaintext_decoded():
+    # a CandidateRecord's candidate is bytes; the store and the potfile hold str
+    hs = load_hashes(digest_of("abc").hex() + "\n" + digest_of("p\u00e4\udc80").hex() + "\n")
+    assert hs.mark_recovered(digest_of("abc"), b"abc") is True
+    assert hs.mark_recovered(digest_of("abc"), "abc") is False
+    assert hs.mark_recovered(digest_of("p\u00e4\udc80"), b"p\xc3\xa4\xed\xb2\x80") is True
+    assert sorted(hs.recovered.values()) == ["abc", "p\u00e4\udc80"]
+    assert "900150983cd24fb0d6963f7d28e17f72:abc\n" in format_potfile(hs)
+
+
 def test_mark_recovered_validates():
     hs = load_hashes(f"{H_CAT}\n")
     with pytest.raises(HashStoreError, match="not in the store"):
