@@ -9,7 +9,7 @@ from pathlib import Path
 from .corpus import WordList
 from .cracker import crack, format_potfile, load_hashes
 from .generator import base_candidates, generate
-from .rules import RuleSet
+from .rules import RuleSet, builtin_rules
 
 
 def uplift(baseline: int, pattern: int) -> float | None:
@@ -50,17 +50,20 @@ def _utcnow() -> str:
 def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet, *,
                   patterns_only: bool = False, strict_multi: bool = False,
                   dedup: bool = True, algorithm: str = "md5", threads: int = 1,
-                  ruleset_name: str = "builtin",
+                  ruleset_name: str | None = None,
                   potfile_path: str | Path | None = None) -> BenchReport:
     """Measure pattern-rule uplift over a plain-wordlist baseline.
 
     The pattern phase includes the base words unless patterns_only is set, so
     by default it is a strict superset of the baseline run. strict_multi and
     dedup are passed to generate. When potfile_path is given, the pattern
-    phase's recovered entries are written there. threads has no effect:
-    perfbench/workloads.py is its only user, so it goes when that file stops
-    passing it.
+    phase's recovered entries are written there. ruleset_name defaults to
+    "builtin", "none" or "custom", as rs is the builtin set, empty or other.
+    threads has no effect: perfbench/workloads.py is its only user, so it
+    goes when that file stops passing it.
     """
+    if ruleset_name is None:
+        ruleset_name = "builtin" if rs == builtin_rules() else "custom" if rs else "none"
     started = _utcnow()
     # The digest list is parsed and checked once; each phase matches into a
     # fresh store over the same digests.

@@ -116,13 +116,19 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _patterns_only_without_rules(args, rs: RuleSet) -> bool:
+    """Name on stderr a --patterns-only run whose -r gives no rules to mangle with."""
+    if args.patterns_only and not rs:
+        print(f"leetforge {args.command}: --patterns-only needs rules to mangle with "
+              f"(-r {args.rules} gives none)", file=sys.stderr)
+    return args.patterns_only and not rs
+
+
 def cmd_crack(args) -> int:
     if _output_clash(args, ("--potfile", args.potfile)):
         return EXIT_USAGE
     rs = _load_rules(args.rules)
-    if args.patterns_only and not rs:
-        print("leetforge crack: --patterns-only needs rules to mangle with "
-              "(with no rules, crack tries only the base words)", file=sys.stderr)
+    if _patterns_only_without_rules(args, rs):
         return EXIT_USAGE
     store = load_hashes(Path(args.hashes).read_bytes(), args.algorithm)
     wl = load_wordlist_files(args.wordlist)
@@ -171,8 +177,10 @@ def cmd_detect(args) -> int:
 def cmd_bench(args) -> int:
     if _output_clash(args, ("--json", args.json), ("--potfile", args.potfile)):
         return EXIT_USAGE
-    wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
+    if _patterns_only_without_rules(args, rs):
+        return EXIT_USAGE
+    wl = load_wordlist_files(args.wordlist)
     report = run_benchmark(
         wl, Path(args.hashes).read_bytes(), rs, patterns_only=args.patterns_only,
         strict_multi=args.strict_multi, dedup=not args.no_dedup, algorithm=args.algorithm,

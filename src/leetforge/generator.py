@@ -5,18 +5,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .corpus import WordList
 from .rules import BASE_RULE_ID, ReplacementRule, RuleSet
 
 
-class CandidateRecord(NamedTuple):
-    """A generated candidate, as UTF-8 bytes ("surrogatepass"), with its provenance."""
-
-    candidate: bytes
-    base_word: str
-    rule_id: str
+CandidateRecord = tuple[bytes, str, str]  # candidate (UTF-8 bytes), base_word, rule_id
 
 
 @dataclass
@@ -89,7 +84,6 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
     own: set[bytes] = set()
     word_sets = (_dedup_sets(wl.words, rs.fold, shared, own) if dedup
                  else itertools.repeat(None))
-    new = tuple.__new__   # builds a CandidateRecord without NamedTuple.__new__'s call overhead
     if include_base:
         for word, seen in zip(wl.words, word_sets):
             wb = word.encode("utf-8", "surrogatepass")
@@ -99,7 +93,7 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                     continue
                 seen.add(wb)
             stats.by_arity["base"] += 1
-            yield new(CandidateRecord, (wb, word, BASE_RULE_ID))
+            yield wb, word, BASE_RULE_ID
     # flattened per-rule data keeps the inner loop free of attribute lookups;
     # the last field is the rule only when strict_multi can drop its output
     compiled = [(r.id, r.arity, r.byte_table, r.translation,
@@ -128,7 +122,7 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                     continue
                 seen.add(ob)
             by_arity[arity] += 1
-            yield new(CandidateRecord, (ob, word, rule_id))
+            yield ob, word, rule_id
 
 
 def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
@@ -154,6 +148,5 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
 
 def base_candidates(wl: WordList) -> Iterator[CandidateRecord]:
     """The unmangled words as a candidate stream (rule id BASE)."""
-    new = tuple.__new__
     for word in wl.words:
-        yield new(CandidateRecord, (word.encode("utf-8", "surrogatepass"), word, BASE_RULE_ID))
+        yield word.encode("utf-8", "surrogatepass"), word, BASE_RULE_ID

@@ -167,7 +167,7 @@ def test_generate_equals_brute_force():
         include_base = trial % 2 == 0
         strict = trial % 3 == 0
         stream = generate(wl, RS, include_base=include_base, strict_multi=strict)
-        got = [rec.candidate for rec in stream]
+        got = [cand for cand, _, _ in stream]
         records, _ = generate_reference(wl.words, RS, include_base=include_base,
                                         strict_multi=strict)
         expected = {candidate.encode("utf-8", "surrogatepass") for candidate, _, _ in records}

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from leetforge import WordList, bench, builtin_rules, crack, run_benchmark, uplift
+from leetforge import (RuleSet, WordList, bench, builtin_rules, crack, parse_rules,
+                       run_benchmark, uplift)
 from leetforge.bench import format_report_table
 from oracles import md5_reference
 from synthetic import planted_corpus
@@ -123,6 +124,15 @@ def test_report_json_types():
                                     "patterns_only", "algorithm"]
     assert doc["ruleset_name"] == "builtin"
     assert doc["started_at"] <= doc["finished_at"]
+
+
+def test_ruleset_name_defaults_to_what_the_rule_set_is():
+    wl = WordList.from_words(["pass"])
+    digests = md5_reference(b"p@ss").hex() + "\n"
+    for rs, name in [(RS, "builtin"), (RuleSet(tuple(RS)), "builtin"),
+                     (parse_rules("X\ta>@\n"), "custom"), (RuleSet(()), "none")]:
+        assert run_benchmark(wl, digests, rs).ruleset_name == name
+    assert run_benchmark(wl, digests, RS, ruleset_name="mine").ruleset_name == "mine"
 
 
 def test_report_satisfies_uplift_formula():

@@ -287,11 +287,12 @@ def test_crack_rules_none_tries_base_words_only(capsys, tmp_path, wordfile):
     assert out == ""
 
 
-def test_crack_rules_none_patterns_only_is_usage_error(capsys, tmp_path, wordfile):
+@pytest.mark.parametrize("command", ["crack", "bench"])
+def test_crack_rules_none_patterns_only_is_usage_error(capsys, tmp_path, wordfile, command):
     hashes = tmp_path / "hashes.txt"
     hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n")
     pot = tmp_path / "out.pot"
-    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile,
+    code, out, err = run_cli(capsys, command, "--hashes", hashes, "-w", wordfile,
                              "-r", "none", "--patterns-only", "--potfile", pot)
     assert code == 1
     assert out == ""
@@ -354,14 +355,16 @@ def test_rules_none_does_not_read_a_file_called_none(capsys, monkeypatch, tmp_pa
     assert (code, out) == (0, "dragon\ndrag0n\n")
 
 
+@pytest.mark.parametrize("command", ["crack", "bench"])
 @pytest.mark.parametrize("text", ["", "# comments only\n"])
 def test_crack_patterns_only_with_empty_rule_file_is_usage_error(capsys, tmp_path,
-                                                                  wordfile, text):
+                                                                  text, command):
     rules = tmp_path / "empty.rules"
     rules.write_text(text)
-    # the digest list does not exist: the refusal comes before it is read
-    code, out, err = run_cli(capsys, "crack", "--hashes", tmp_path / "missing.txt",
-                             "-w", wordfile, "-r", rules, "--patterns-only")
+    # neither the digest list nor the word list exists: the refusal comes
+    # before either is read
+    code, out, err = run_cli(capsys, command, "--hashes", tmp_path / "missing.txt",
+                             "-w", tmp_path / "missing.words", "-r", rules, "--patterns-only")
     assert code == 1
     assert out == ""
     assert "--patterns-only" in err

@@ -18,7 +18,6 @@ from leetforge import (AlgorithmMismatchError, HashStoreError,
                        UnknownAlgorithmError, WordList, base_candidates, builtin_rules,
                        crack, digest_of, generate, load_hashes)
 from leetforge.cracker import _CONSTRUCTORS
-from leetforge.generator import CandidateRecord
 from oracles import md5_reference
 from synthetic import planted_corpus
 
@@ -133,7 +132,7 @@ def test_crack_empty_stream():
 
 def test_crack_counts_attempts_including_duplicates():
     hs = load_hashes(digest_of("aa").hex() + "\n")
-    recs = [CandidateRecord(b"aa", "aa", "BASE")] * 5
+    recs = [(b"aa", "aa", "BASE")] * 5
     result = crack(hs, iter(recs))
     assert result.attempted == 5
     assert len(result.matches) == 5

@@ -11,7 +11,6 @@ import tracemalloc
 from leetforge import (BASE_RULE_ID, CharPair, ReplacementRule, RuleSet,
                        WordList, apply_rule, base_candidates, builtin_rules, generate,
                        parse_rules)
-from leetforge.generator import CandidateRecord
 from oracles import generate_reference, mangle_reference
 from synthetic import random_custom_rules
 
@@ -107,9 +106,7 @@ def test_generate_word_major_rule_order():
     wl = WordList.from_words(["ana"])
     rs = parse_rules("A\ta>0\nB\ta>1\n")
     records, stats = _records(wl, rs)
-    assert [r.candidate for r in records] == [b"0n0", b"1n1"]
-    assert [r.rule_id for r in records] == ["A", "B"]
-    assert records[0].base_word == "ana"
+    assert records == [(b"0n0", "ana", "A"), (b"1n1", "ana", "B")]
     assert stats.emitted == 2
 
 
@@ -117,10 +114,10 @@ def test_generate_base_words_stream_first_and_win_dedup():
     wl = WordList.from_words(["loss", "l0ss"])
     rs = parse_rules("O\to>0\n")
     records, stats = _records(wl, rs, include_base=True)
-    assert [(r.candidate, r.rule_id) for r in records] == \
+    assert [(cand, rule_id) for cand, _, rule_id in records] == \
         [(b"loss", BASE_RULE_ID), (b"l0ss", BASE_RULE_ID)]
-    assert {type(r) for r in records} == {CandidateRecord}
-    assert [(r, type(r)) for r in base_candidates(wl)] == [(r, CandidateRecord) for r in records]
+    assert {type(r) for r in records} == {tuple}
+    assert [(r, type(r)) for r in base_candidates(wl)] == [(r, tuple) for r in records]
     # the mangled loss->l0ss lost to the base word l0ss
     assert stats.suppressed_duplicates == 1
     assert stats.emitted == 2
@@ -133,17 +130,17 @@ def test_generate_dedup_keeps_first_provenance():
     wl = WordList.from_words(["pass"])
     records, _ = _records(wl, RS)
     byc = {}
-    for r in records:
-        assert r.candidate not in byc
-        byc[r.candidate] = r
-    assert byc[b"p@ss"].rule_id == "S5"
+    for cand, _, rule_id in records:
+        assert cand not in byc
+        byc[cand] = rule_id
+    assert byc[b"p@ss"] == "S5"
 
 
 def test_generate_no_dedup_counts_everything():
     wl = WordList.from_words(["pass"])
     records, stats = _records(wl, RS, dedup=False)
     assert stats.suppressed_duplicates == 0
-    cands = [r.candidate for r in records]
+    cands = [cand for cand, _, _ in records]
     assert cands.count(b"p@ss") > 1
     assert stats.emitted == len(cands)
 
@@ -188,7 +185,7 @@ def test_generate_emission_bound_and_stats():
         assert stats.emitted == sum(stats.by_arity.values())
         assert stats.emitted_mangled == stats.emitted - stats.by_arity["base"]
         # dedup on: all candidates distinct
-        assert len({r.candidate for r in records}) == len(records)
+        assert len({cand for cand, _, _ in records}) == len(records)
 
 
 def test_generate_matches_brute_force_small():
@@ -205,7 +202,7 @@ def test_generate_matches_brute_force_small():
                 reference, _ = generate_reference(wl.words, RS, include_base=include_base,
                                                   strict_multi=strict)
                 expected = {_encoded(candidate) for candidate, _, _ in reference}
-                assert {r.candidate for r in records} == expected
+                assert {cand for cand, _, _ in records} == expected
                 assert stats.emitted == len(expected)
 
 
