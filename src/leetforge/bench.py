@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
+from ._value import Value
 from .corpus import WordList
 from .cracker import crack, format_potfile, load_hashes
 from .generator import base_candidates, generate
@@ -19,24 +19,35 @@ def uplift(baseline: int, pattern: int) -> float | None:
     return round(100.0 * (pattern - baseline) / baseline, 1)
 
 
-@dataclass
-class BenchReport:
-    wordlist_size: int
-    candidate_count: int
-    hash_raw: int
-    hash_unique: int
-    baseline_recovered: int
-    pattern_recovered: int
-    uplift_percent: float | None
-    throughput: dict[str, float]
-    ruleset_name: str
-    options: dict
-    started_at: str
-    finished_at: str
+class BenchReport(Value):
+    _fields = ("wordlist_size", "candidate_count", "hash_raw", "hash_unique",
+               "baseline_recovered", "pattern_recovered", "uplift_percent", "throughput",
+               "ruleset_name", "options", "started_at", "finished_at")
+
+    def __init__(self, wordlist_size: int, candidate_count: int, hash_raw: int,
+                 hash_unique: int, baseline_recovered: int, pattern_recovered: int,
+                 uplift_percent: float | None, throughput: dict[str, float],
+                 ruleset_name: str, options: dict, started_at: str, finished_at: str):
+        self.wordlist_size = wordlist_size
+        self.candidate_count = candidate_count
+        self.hash_raw = hash_raw
+        self.hash_unique = hash_unique
+        self.baseline_recovered = baseline_recovered
+        self.pattern_recovered = pattern_recovered
+        self.uplift_percent = uplift_percent
+        self.throughput = throughput
+        self.ruleset_name = ruleset_name
+        self.options = options
+        self.started_at = started_at
+        self.finished_at = finished_at
 
     def to_dict(self) -> dict:
-        """JSON form: counts stay integers, percentages become one-decimal strings."""
-        doc = asdict(self)
+        """JSON form: counts stay integers, percentages become one-decimal strings.
+
+        The nested dicts are copies, so changing the document leaves the report alone.
+        """
+        doc = {name: getattr(self, name) for name in self._fields}
+        doc["options"] = dict(self.options)
         if self.uplift_percent is not None:
             doc["uplift_percent"] = f"{self.uplift_percent:.1f}"
         doc["throughput"] = {k: round(v, 1) for k, v in self.throughput.items()}
@@ -44,7 +55,7 @@ class BenchReport:
 
 
 def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet, *,

@@ -60,12 +60,14 @@ def _file_key(path: str) -> tuple[int, int] | str:
     return st.st_dev, st.st_ino
 
 
-def _output_clash(args, *outputs: tuple[str, str | None]) -> bool:
-    """Name on stderr the first (flag, path) output that is one file with an
-    input (--hashes, a -w, a -r file) or with an earlier output.
+def _output_refused(args, *outputs: tuple[str, str | None]) -> bool:
+    """Name on stderr the first (flag, path) output that is in a directory
+    that does not exist, or is one file with an input (--hashes, a -w, a -r
+    file) or with an earlier output.
 
-    Writing an input would replace it, and two handles writing one file would
-    tear its lines, so the caller refuses the run (exit 1) when this is True.
+    A missing directory would fail the write only after all the work, writing
+    an input would replace it, and two handles writing one file would tear
+    its lines, so the caller refuses the run (exit 1) when this is True.
     """
     inputs = [("--hashes", getattr(args, "hashes", None))]
     inputs += [("-w", path) for path in args.wordlist]
@@ -74,6 +76,11 @@ def _output_clash(args, *outputs: tuple[str, str | None]) -> bool:
     flags = {_file_key(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if path:
+            folder = os.path.dirname(path) or "."
+            if not os.path.isdir(folder):
+                print(f"leetforge {args.command}: {flag} {path}: directory {folder} "
+                      f"does not exist", file=sys.stderr)
+                return True
             same = flags.setdefault(_file_key(path), flag)
             if same != flag:
                 print(f"leetforge {args.command}: {same} and {flag} name the same file; "
@@ -83,8 +90,8 @@ def _output_clash(args, *outputs: tuple[str, str | None]) -> bool:
 
 
 def cmd_gen(args) -> int:
-    if _output_clash(args, ("-o", None if args.output == "-" else args.output),
-                     ("--provenance", args.provenance), ("--stats-json", args.stats_json)):
+    if _output_refused(args, ("-o", None if args.output == "-" else args.output),
+                       ("--provenance", args.provenance), ("--stats-json", args.stats_json)):
         return EXIT_USAGE
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
@@ -125,7 +132,7 @@ def _patterns_only_without_rules(args, rs: RuleSet) -> bool:
 
 
 def cmd_crack(args) -> int:
-    if _output_clash(args, ("--potfile", args.potfile)):
+    if _output_refused(args, ("--potfile", args.potfile)):
         return EXIT_USAGE
     rs = _load_rules(args.rules)
     if _patterns_only_without_rules(args, rs):
@@ -175,7 +182,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if _output_clash(args, ("--json", args.json), ("--potfile", args.potfile)):
+    if _output_refused(args, ("--json", args.json), ("--potfile", args.potfile)):
         return EXIT_USAGE
     rs = _load_rules(args.rules)
     if _patterns_only_without_rules(args, rs):

@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ._value import Frozen
 from .errors import WordlistDecodeError
 
 
-@dataclass(frozen=True)
-class WordList:
+class WordList(Frozen):
     """Deduplicated words in first-occurrence order plus per-source raw counts."""
 
-    words: tuple[str, ...]
-    sources: tuple[tuple[str, int], ...]
+    _fields = ("words", "sources")
+
+    def __init__(self, words: tuple[str, ...], sources: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "sources", sources)
 
     def __len__(self) -> int:
         return len(self.words)

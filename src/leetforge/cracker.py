@@ -9,15 +9,14 @@ worker threads measured slower than this single loop at every count.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import threading
 import time
 from collections.abc import Collection
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
+from ._value import Value
 from .corpus import read_lines
 from .errors import (AlgorithmMismatchError, HashFormatError, HashStoreError,
                      UnknownAlgorithmError)
@@ -91,7 +90,8 @@ class HashStore:
         The digest set is shared, not copied or checked again: this store
         checked it when it was built.
         """
-        store = copy.copy(self)
+        store = object.__new__(self.__class__)
+        store.__dict__.update(self.__dict__)
         store._recovered = {}
         store._lock = threading.Lock()
         return store
@@ -188,13 +188,16 @@ class Match(NamedTuple):
         return self.digest.hex()
 
 
-@dataclass
-class CrackResult:
-    attempted: int
-    recovered_new: int
-    matches: list[Match]
-    elapsed: float
-    throughput: float
+class CrackResult(Value):
+    _fields = ("attempted", "recovered_new", "matches", "elapsed", "throughput")
+
+    def __init__(self, attempted: int, recovered_new: int, matches: list[Match],
+                 elapsed: float, throughput: float):
+        self.attempted = attempted
+        self.recovered_new = recovered_new
+        self.matches = matches
+        self.elapsed = elapsed
+        self.throughput = throughput
 
     def to_dict(self) -> dict:
         return {

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
+from ._value import Frozen
 from .corpus import WordList
 from .generator import apply_rule
 from .rules import BASE_RULE_ID, RuleSet
@@ -16,10 +16,12 @@ class Finding(NamedTuple):
     rule_id: str
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    password: str
-    findings: tuple[Finding, ...]
+class DetectionResult(Frozen):
+    _fields = ("password", "findings")
+
+    def __init__(self, password: str, findings: tuple[Finding, ...]):
+        object.__setattr__(self, "password", password)
+        object.__setattr__(self, "findings", findings)
 
     @property
     def is_pattern_based(self) -> bool:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from ._value import Value
 from .corpus import WordList
 from .rules import BASE_RULE_ID, ReplacementRule, RuleSet
 
@@ -14,11 +14,14 @@ from .rules import BASE_RULE_ID, ReplacementRule, RuleSet
 CandidateRecord = tuple[bytes, str, str]  # candidate (UTF-8 bytes), base_word, rule_id
 
 
-@dataclass
-class GenStats:
-    suppressed_duplicates: int = 0
-    by_arity: dict[str, int] = field(default_factory=lambda: {
-        "base": 0, "single": 0, "dual": 0, "triad": 0})
+class GenStats(Value):
+    _fields = ("suppressed_duplicates", "by_arity")
+
+    def __init__(self, suppressed_duplicates: int = 0,
+                 by_arity: dict[str, int] | None = None):
+        self.suppressed_duplicates = suppressed_duplicates
+        self.by_arity = ({"base": 0, "single": 0, "dual": 0, "triad": 0}
+                         if by_arity is None else by_arity)
 
     @property
     def emitted(self) -> int:

@@ -10,10 +10,10 @@ additionally exposed as the "top5" subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
+from ._value import Frozen
 from .corpus import read_lines
 from .errors import ExportError, RuleParseError
 
@@ -67,14 +67,14 @@ _TRIADS = (
 _TOP5 = ("i1", "o0", "e3", "l1", "a@")
 
 
-@dataclass(frozen=True)
-class CharPair:
+class CharPair(Frozen):
     """One source -> replacement character swap."""
 
-    source: str
-    replacement: str
+    _fields = ("source", "replacement")
 
-    def __post_init__(self) -> None:
+    def __init__(self, source: str, replacement: str):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "replacement", replacement)
         if len(self.source) != 1 or len(self.replacement) != 1:
             raise ValueError("source and replacement must be single characters")
         if self.source == self.replacement:
@@ -86,21 +86,19 @@ def _claimed(pair: CharPair, case_insensitive: bool) -> set[str]:
     return {pair.source, pair.source.swapcase()} if case_insensitive else {pair.source}
 
 
-@dataclass(frozen=True)
-class ReplacementRule:
+class ReplacementRule(Frozen):
     """An ordered set of 1-3 pairs applied simultaneously to a word.
 
     With case_insensitive (the default) both cases of each source letter are
     replaced; the replacement character itself is always emitted as given.
     """
 
-    id: str
-    pairs: tuple[CharPair, ...]
-    case_insensitive: bool = True
+    _fields = ("id", "pairs", "case_insensitive")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.pairs, tuple):
-            object.__setattr__(self, "pairs", tuple(self.pairs))
+    def __init__(self, id: str, pairs: tuple[CharPair, ...], case_insensitive: bool = True):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "pairs", pairs if isinstance(pairs, tuple) else tuple(pairs))
+        object.__setattr__(self, "case_insensitive", case_insensitive)
         if self.id == BASE_RULE_ID:
             raise ValueError(f"rule id {BASE_RULE_ID!r} is reserved for unmangled words")
         if not 1 <= len(self.pairs) <= 3:
@@ -205,15 +203,13 @@ class ReplacementRule:
         return True
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Frozen):
     """Ordered, immutable collection of rules with unique ids."""
 
-    rules: tuple[ReplacementRule, ...]
+    _fields = ("rules",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rules, tuple):
-            object.__setattr__(self, "rules", tuple(self.rules))
+    def __init__(self, rules: tuple[ReplacementRule, ...]):
+        object.__setattr__(self, "rules", rules if isinstance(rules, tuple) else tuple(rules))
         ids = [r.id for r in self.rules]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from leetforge import (RuleSet, WordList, bench, builtin_rules, crack, parse_rules,
                        run_benchmark, uplift)
@@ -124,6 +125,17 @@ def test_report_json_types():
                                     "patterns_only", "algorithm"]
     assert doc["ruleset_name"] == "builtin"
     assert doc["started_at"] <= doc["finished_at"]
+    for key in ("started_at", "finished_at"):
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", doc[key])
+
+
+def test_report_dict_holds_copies_of_the_nested_dicts():
+    report = run_benchmark(WordList.from_words(["pass"]), "", RS)
+    doc = report.to_dict()
+    doc["options"]["dedup"] = doc["throughput"]["baseline"] = "changed"
+    assert report.options["dedup"] is True
+    assert report.throughput["baseline"] != "changed"
+    assert report.to_dict()["options"]["dedup"] is True
 
 
 def test_ruleset_name_defaults_to_what_the_rule_set_is():

@@ -681,6 +681,38 @@ def test_output_may_not_replace_an_input(capsys, monkeypatch, tmp_path, argv, ta
     assert f"{argv[argv.index(target) - 1]} and {argv[-2]} name the same file" in err
     assert (tmp_path / target).read_bytes() == inputs[target]
 
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "-w", "w.txt", "-o", "nodir/out.txt"],
+    ["gen", "-w", "w.txt", "--provenance", "nodir/prov.tsv"],
+    ["gen", "-w", "w.txt", "--stats-json", "nodir/stats.json"],
+    ["crack", "--hashes", "h.txt", "-w", "w.txt", "--potfile", "nodir/p.pot"],
+    ["bench", "-w", "w.txt", "--hashes", "h.txt", "--json", "nodir/r.json"],
+    ["bench", "-w", "w.txt", "--hashes", "h.txt", "--potfile", "nodir/p.pot"],
+], ids=["gen-output", "gen-provenance", "gen-stats-json", "crack-potfile", "bench-json",
+        "bench-potfile"])
+def test_output_in_a_missing_directory_is_refused_before_any_work(capsys, monkeypatch,
+                                                                   tmp_path, argv):
+    # the inputs do not exist either: a check made after reading them would exit 2
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{argv[-2]} {argv[-1]}: directory nodir does not exist" in err
+
+
+def test_import_loads_no_dataclasses_inspect_or_datetime():
+    # these cost about half of the package's import time, which every run pays
+    probe = ("import sys; before = set(sys.modules); import leetforge.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "leetforge.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "datetime", "copy"}
+    assert loaded & unwanted == set()
+
 @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
 def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
     words = tmp_path / "words.txt"

@@ -8,7 +8,7 @@ import random
 import string
 import tracemalloc
 
-from leetforge import (BASE_RULE_ID, CharPair, ReplacementRule, RuleSet,
+from leetforge import (BASE_RULE_ID, CharPair, GenStats, ReplacementRule, RuleSet,
                        WordList, apply_rule, base_candidates, builtin_rules, generate,
                        parse_rules)
 from oracles import generate_reference, mangle_reference
@@ -169,6 +169,15 @@ def test_generate_deterministic():
     a, _ = _records(wl, RS, include_base=True)
     b, _ = _records(wl, RS, include_base=True)
     assert a == b
+
+
+def test_gen_stats_start_at_zero_with_a_dict_of_their_own():
+    a, b = GenStats(), GenStats()
+    a.by_arity["single"] += 1
+    a.suppressed_duplicates += 1
+    assert b == GenStats(0, {"base": 0, "single": 0, "dual": 0, "triad": 0})
+    assert a.to_dict() == {"emitted": 1, "emitted_mangled": 1, "suppressed_duplicates": 1,
+                           "by_arity": {"base": 0, "single": 1, "dual": 0, "triad": 0}}
 
 
 def test_generate_emission_bound_and_stats():

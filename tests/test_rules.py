@@ -104,6 +104,13 @@ def test_ruleset_rejects_duplicate_ids():
         RuleSet((r, r))
 
 
+def test_rule_and_ruleset_turn_lists_into_tuples():
+    r = ReplacementRule("X", [CharPair("a", "@")])
+    assert r.pairs == (CharPair("a", "@"),)
+    assert RuleSet([r]).rules == (r,)
+    assert RuleSet([r]) == RuleSet((r,))
+
+
 def test_parse_single_line():
     rs = parse_rules("S1\ta>0\n")
     assert len(rs) == 1
