@@ -44,10 +44,9 @@ def _load_rules(source: str) -> RuleSet:
     return builtin_rules() if source == "builtin" else RuleSet(())
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+class _Refused(Exception):
+    """A run refused before any input is read; main() prints
+    `leetforge COMMAND: MESSAGE` on stderr and exits 1."""
 
 
 def _file_key(path: str) -> tuple[int, int] | str:
@@ -60,14 +59,14 @@ def _file_key(path: str) -> tuple[int, int] | str:
     return st.st_dev, st.st_ino
 
 
-def _output_refused(args, *outputs: tuple[str, str | None]) -> bool:
-    """Name on stderr the first (flag, path) output that is in a directory
-    that does not exist, or is one file with an input (--hashes, a -w, a -r
-    file) or with an earlier output.
+def _check_outputs(args, *outputs: tuple[str, str | None]) -> None:
+    """Refuse the first (flag, path) output that is a directory, is in a
+    directory that does not exist, or is one file with an input (--hashes,
+    a -w, a -r file) or with an earlier output.
 
-    A missing directory would fail the write only after all the work, writing
-    an input would replace it, and two handles writing one file would tear
-    its lines, so the caller refuses the run (exit 1) when this is True.
+    A directory or a missing one would fail the write only after all the
+    work, writing an input would replace it, and two handles writing one file
+    would tear its lines.
     """
     inputs = [("--hashes", getattr(args, "hashes", None))]
     inputs += [("-w", path) for path in args.wordlist]
@@ -78,21 +77,18 @@ def _output_refused(args, *outputs: tuple[str, str | None]) -> bool:
         if path:
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
-                print(f"leetforge {args.command}: {flag} {path}: directory {folder} "
-                      f"does not exist", file=sys.stderr)
-                return True
+                raise _Refused(f"{flag} {path}: directory {folder} does not exist")
+            if os.path.isdir(path):
+                raise _Refused(f"{flag} {path} is a directory")
             same = flags.setdefault(_file_key(path), flag)
             if same != flag:
-                print(f"leetforge {args.command}: {same} and {flag} name the same file; "
-                      f"give each its own path", file=sys.stderr)
-                return True
-    return False
+                raise _Refused(f"{same} and {flag} name the same file; give each its own path")
 
 
 def cmd_gen(args) -> int:
-    if _output_refused(args, ("-o", None if args.output == "-" else args.output),
-                       ("--provenance", args.provenance), ("--stats-json", args.stats_json)):
-        return EXIT_USAGE
+    output = None if args.output == "-" else args.output
+    _check_outputs(args, ("-o", output), ("--provenance", args.provenance),
+                   ("--stats-json", args.stats_json))
     wl = load_wordlist_files(args.wordlist)
     rs = _load_rules(args.rules)
     if args.provenance:
@@ -105,7 +101,7 @@ def cmd_gen(args) -> int:
     stream = generate(wl, rs, include_base=args.include_base,
                       strict_multi=args.strict_multi, dedup=not args.no_dedup)
     with contextlib.ExitStack() as stack:
-        out = stack.enter_context(_open_out(args.output))
+        out = stack.enter_context(open(output, "w", encoding="utf-8")) if output else sys.stdout
         prov = None
         if args.provenance:
             prov = stack.enter_context(open(args.provenance, "w", encoding="utf-8"))
@@ -123,20 +119,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _patterns_only_without_rules(args, rs: RuleSet) -> bool:
-    """Name on stderr a --patterns-only run whose -r gives no rules to mangle with."""
+def _crack_rules(args) -> RuleSet:
+    """The -r rules of crack or bench, refusing --patterns-only with none to mangle with."""
+    rs = _load_rules(args.rules)
     if args.patterns_only and not rs:
-        print(f"leetforge {args.command}: --patterns-only needs rules to mangle with "
-              f"(-r {args.rules} gives none)", file=sys.stderr)
-    return args.patterns_only and not rs
+        raise _Refused(f"--patterns-only needs rules to mangle with (-r {args.rules} gives none)")
+    return rs
 
 
 def cmd_crack(args) -> int:
-    if _output_refused(args, ("--potfile", args.potfile)):
-        return EXIT_USAGE
-    rs = _load_rules(args.rules)
-    if _patterns_only_without_rules(args, rs):
-        return EXIT_USAGE
+    _check_outputs(args, ("--potfile", args.potfile))
+    rs = _crack_rules(args)
     store = load_hashes(Path(args.hashes).read_bytes(), args.algorithm)
     wl = load_wordlist_files(args.wordlist)
     if rs:
@@ -146,12 +139,14 @@ def cmd_crack(args) -> int:
         candidates = base_candidates(wl)
     result = crack(store, candidates)
     recoveries = format_potfile(store)
-    if args.potfile:
-        Path(args.potfile).write_text(recoveries, encoding="utf-8")
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        sys.stdout.write(recoveries)
+    try:  # potfile first: a reader that closed stdout early must not cost the file
+        if args.potfile:
+            Path(args.potfile).write_text(recoveries, encoding="utf-8")
+    finally:  # and a failed write must not cost stdout the recoveries
+        if args.json:
+            print(json.dumps(result.to_dict(), indent=2))
+        else:
+            sys.stdout.write(recoveries)
     print(f"attempted {result.attempted}, recovered {result.recovered_new} "
           f"of {store.unique_count} unique digests "
           f"({result.throughput:,.0f} candidates/s)", file=sys.stderr)
@@ -170,9 +165,7 @@ def _stdin_passwords() -> Iterator[str]:
 
 def cmd_detect(args) -> int:
     if not (args.password or args.stdin):
-        print("leetforge detect: no passwords given "
-              "(use --password or --stdin)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused("no passwords given (use --password or --stdin)")
     rs = _load_rules(args.rules)
     dictionary = load_wordlist_files([args.dict])
     for pw in itertools.chain(args.password or [], _stdin_passwords() if args.stdin else []):
@@ -182,11 +175,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if _output_refused(args, ("--json", args.json), ("--potfile", args.potfile)):
-        return EXIT_USAGE
-    rs = _load_rules(args.rules)
-    if _patterns_only_without_rules(args, rs):
-        return EXIT_USAGE
+    _check_outputs(args, ("--json", args.json), ("--potfile", args.potfile))
+    rs = _crack_rules(args)
     wl = load_wordlist_files(args.wordlist)
     report = run_benchmark(
         wl, Path(args.hashes).read_bytes(), rs, patterns_only=args.patterns_only,
@@ -237,15 +227,24 @@ def _add_rules_arg(p):
                         "'none' for no rules; ./none names a file called none")
 
 
-def _add_algorithm_arg(p):
-    p.add_argument("-a", "--algorithm", choices=sorted(ALGORITHMS), default="md5",
-                   help="digest algorithm (default md5)")
-
-
 def _add_gen_toggles(p):
     p.add_argument("--strict-multi", action="store_true",
                    help="multi-pair rules require every source char present")
     p.add_argument("--no-dedup", action="store_true", help="keep duplicate candidates")
+
+
+def _add_crack_args(p):
+    """The inputs crack and bench share."""
+    p.add_argument("--hashes", required=True, metavar="FILE",
+                   help="digest file, one hex digest per line")
+    _add_wordlist_arg(p)
+    _add_rules_arg(p)
+    p.add_argument("--patterns-only", action="store_true",
+                   help="try only the mangles, not the base words")
+    _add_gen_toggles(p)
+    p.add_argument("-a", "--algorithm", choices=sorted(ALGORITHMS), default="md5",
+                   help="digest algorithm (default md5)")
+    p.add_argument("--potfile", metavar="FILE", help="write recovered digest:plaintext lines here")
 
 
 def build_parser() -> _ArgumentParser:
@@ -268,15 +267,7 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("crack", help="match candidates against a digest list")
-    p.add_argument("--hashes", required=True, metavar="FILE",
-                   help="digest file, one hex digest per line")
-    _add_wordlist_arg(p)
-    _add_rules_arg(p)
-    p.add_argument("--patterns-only", action="store_true",
-                   help="try only the mangles, not the base words")
-    _add_gen_toggles(p)
-    _add_algorithm_arg(p)
-    p.add_argument("--potfile", metavar="FILE", help="write recovered digest:plaintext lines here")
+    _add_crack_args(p)
     p.add_argument("--json", action="store_true", help="print a JSON summary instead of matches")
     p.set_defaults(func=cmd_crack)
 
@@ -289,17 +280,8 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("bench", help="baseline vs pattern recovery benchmark")
-    _add_wordlist_arg(p)
-    p.add_argument("--hashes", required=True, metavar="FILE",
-                   help="digest file, one hex digest per line")
-    _add_rules_arg(p)
-    p.add_argument("--patterns-only", action="store_true",
-                   help="pattern phase tries only the mangles")
-    _add_gen_toggles(p)
-    _add_algorithm_arg(p)
+    _add_crack_args(p)
     p.add_argument("--json", metavar="FILE", help="also write the JSON report here")
-    p.add_argument("--potfile", metavar="FILE",
-                   help="write the pattern phase's recoveries here")
     p.add_argument("--table", action="store_true",
                    help="also print an aligned summary table to stderr")
     p.set_defaults(func=cmd_bench)
@@ -325,25 +307,35 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits: 0 for --help/--version, 1 for usage
         return int(exc.code or 0)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except BrokenPipeError as exc:
+            # The reader went away (e.g. `| head`): the output is over, the run is not
+            # at fault. Unless stdout broke on the way out of an error, as when crack
+            # prints its recoveries after a failed potfile write: report that error.
+            if exc.__context__ is not None:
+                raise exc.__context__
+            code = EXIT_OK
+    except _Refused as exc:
+        print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    except (InputFormatError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    except LeetforgeError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        code = EXIT_RUNTIME
+    except Exception as exc:
+        print(f"{parser.prog}: unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_RUNTIME
+    try:
         sys.stdout.flush()  # a reader that closed early surfaces here, not at exit
-        return code
     except BrokenPipeError:
-        # The reader went away (e.g. `| head`): the output is over, the run is not
-        # at fault. Point stdout at devnull so the flush at exit cannot raise again.
+        # Point stdout at devnull so the flush at exit cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_OK
-    except (InputFormatError, OSError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LeetforgeError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except Exception as exc:
-        print(f"{parser.prog}: unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    return code
 
 
 def run() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -33,6 +34,12 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refusal(command, message):
+    """What run_cli returns for a run refused before any work: exit 1,
+    nothing on stdout, one stderr line naming the command."""
+    return 1, "", f"leetforge {command}: {message}\n"
 
 
 def cli_env():
@@ -184,11 +191,9 @@ def test_gen_files_match_reference_on_non_ascii_rules(capsys, tmp_path):
 def test_gen_refuses_two_outputs_to_one_file(capsys, tmp_path, wordfile, first, second):
     target = tmp_path / "out.txt"
     # the second flag names the file through another spelling of its path
-    code, out, err = run_cli(capsys, "gen", "-w", wordfile, "--include-base",
-                             first, target, second, tmp_path / "." / "out.txt")
-    assert code == 1
-    assert out == ""
-    assert first in err and second in err
+    assert run_cli(capsys, "gen", "-w", wordfile, "--include-base",
+                   first, target, second, tmp_path / "." / "out.txt") == refusal(
+        "gen", f"{first} and {second} name the same file; give each its own path")
     assert not target.exists()
 
 
@@ -246,6 +251,54 @@ def test_crack_end_to_end(capsys, tmp_path, wordfile):
     assert "recovered 1" in err
 
 
+_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@_DEV_FULL
+def test_crack_prints_its_recoveries_when_the_potfile_write_fails(capsys, tmp_path, wordfile):
+    # /dev/full: every write fails as on a full disk, after all the work is done
+    hashes = tmp_path / "hashes.txt"
+    target = hashlib.md5(b"p@ssw0rd").hexdigest()
+    hashes.write_text(target + "\n")
+    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile,
+                             "--potfile", "/dev/full")
+    assert (code, out) == (2, f"{target}:p@ssw0rd\n")
+    assert err.startswith("leetforge: error: ") and os.strerror(errno.ENOSPC) in err
+
+
+@pytest.mark.parametrize("count,potfile,code", [
+    (2000, "p.pot", 0),
+    pytest.param(2000, "/dev/full", 2, marks=_DEV_FULL),
+    pytest.param(1, "/dev/full", 2, marks=_DEV_FULL),
+], ids=["written", "write-fails", "write-fails-output-buffered"])
+def test_crack_potfile_when_stdout_is_closed(tmp_path, count, potfile, code):
+    # `leetforge crack ... --potfile FILE | true`: the reader is gone before the
+    # first recovery is printed. The potfile is still written, and a failed write
+    # still exits 2, whether the recoveries overflow stdout's buffer or wait in it.
+    words = [f"word{i}" for i in range(count)]
+    wordlist, hashes = tmp_path / "w.txt", tmp_path / "h.txt"
+    pot = tmp_path / potfile  # /dev/full, being absolute, stays itself
+    wordlist.write_text("".join(w + "\n" for w in words))
+    hashes.write_text("".join(hashlib.md5(w.encode()).hexdigest() + "\n" for w in words))
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as into any pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "leetforge.cli", "crack", "--hashes",
+                               str(hashes), "-w", str(wordlist), "-r", "none",
+                               "--potfile", str(pot)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.decode().startswith("leetforge: error: ")
+        assert os.strerror(errno.ENOSPC) in proc.stderr.decode()
+    else:
+        assert pot.read_bytes() == "".join(sorted(
+            f"{hashlib.md5(w.encode()).hexdigest()}:{w}\n" for w in words)).encode()
+
 
 def test_crack_no_dedup_prints_each_recovery_once(capsys, tmp_path):
     words = tmp_path / "words.txt"
@@ -292,11 +345,9 @@ def test_crack_rules_none_patterns_only_is_usage_error(capsys, tmp_path, wordfil
     hashes = tmp_path / "hashes.txt"
     hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n")
     pot = tmp_path / "out.pot"
-    code, out, err = run_cli(capsys, command, "--hashes", hashes, "-w", wordfile,
-                             "-r", "none", "--patterns-only", "--potfile", pot)
-    assert code == 1
-    assert out == ""
-    assert "--patterns-only" in err
+    assert run_cli(capsys, command, "--hashes", hashes, "-w", wordfile,
+                   "-r", "none", "--patterns-only", "--potfile", pot) == refusal(
+        command, "--patterns-only needs rules to mangle with (-r none gives none)")
     assert not pot.exists()
 
 
@@ -363,11 +414,9 @@ def test_crack_patterns_only_with_empty_rule_file_is_usage_error(capsys, tmp_pat
     rules.write_text(text)
     # neither the digest list nor the word list exists: the refusal comes
     # before either is read
-    code, out, err = run_cli(capsys, command, "--hashes", tmp_path / "missing.txt",
-                             "-w", tmp_path / "missing.words", "-r", rules, "--patterns-only")
-    assert code == 1
-    assert out == ""
-    assert "--patterns-only" in err
+    assert run_cli(capsys, command, "--hashes", tmp_path / "missing.txt",
+                   "-w", tmp_path / "missing.words", "-r", rules, "--patterns-only") == refusal(
+        command, f"--patterns-only needs rules to mangle with (-r {rules} gives none)")
 
 
 @pytest.mark.parametrize("input_kind", ["digest list", "rule file"])
@@ -397,17 +446,13 @@ def test_detect_emits_jsonl(capsys, wordfile):
 
 
 def test_detect_without_passwords_is_usage_error(capsys, wordfile):
-    code, out, err = run_cli(capsys, "detect", "--dict", wordfile)
-    assert code == 1
-    assert out == ""
-
+    assert run_cli(capsys, "detect", "--dict", wordfile) == refusal(
+        "detect", "no passwords given (use --password or --stdin)")
 
 
 def test_detect_checks_for_passwords_before_reading_inputs(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "detect", "--dict", tmp_path / "missing.txt")
-    assert code == 1
-    assert out == ""
-    assert "no passwords given" in err
+    assert run_cli(capsys, "detect", "--dict", tmp_path / "missing.txt") == refusal(
+        "detect", "no passwords given (use --password or --stdin)")
 
 
 def test_detect_empty_stdin_audits_nothing(capsys, monkeypatch, wordfile):
@@ -651,11 +696,9 @@ def test_bench_flags_reach_run_benchmark(capsys, tmp_path, flag, options):
 def test_bench_refuses_json_and_potfile_to_one_file(capsys, monkeypatch, tmp_path, spelling):
     monkeypatch.chdir(tmp_path)
     # the inputs do not exist: the clash is refused before any of them is read
-    code, out, err = run_cli(capsys, "bench", "-w", "missing.txt", "--hashes", "missing.hashes",
-                             "--json", "report.json", "--potfile", spelling)
-    assert code == 1
-    assert out == ""
-    assert "--json and --potfile name the same file" in err
+    assert run_cli(capsys, "bench", "-w", "missing.txt", "--hashes", "missing.hashes",
+                   "--json", "report.json", "--potfile", spelling) == refusal(
+        "bench", "--json and --potfile name the same file; give each its own path")
     assert not (tmp_path / "report.json").exists()
 
 
@@ -675,30 +718,36 @@ def test_output_may_not_replace_an_input(capsys, monkeypatch, tmp_path, argv, ta
     for name, data in inputs.items():
         (tmp_path / name).write_bytes(data)
     os.link(tmp_path / "w.txt", tmp_path / "w-link.txt")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert f"{argv[argv.index(target) - 1]} and {argv[-2]} name the same file" in err
+    assert run_cli(capsys, *argv) == refusal(
+        argv[0], f"{argv[argv.index(target) - 1]} and {argv[-2]} name the same file; "
+                 f"give each its own path")
     assert (tmp_path / target).read_bytes() == inputs[target]
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "-w", "w.txt", "-o", "nodir/out.txt"],
-    ["gen", "-w", "w.txt", "--provenance", "nodir/prov.tsv"],
-    ["gen", "-w", "w.txt", "--stats-json", "nodir/stats.json"],
-    ["crack", "--hashes", "h.txt", "-w", "w.txt", "--potfile", "nodir/p.pot"],
-    ["bench", "-w", "w.txt", "--hashes", "h.txt", "--json", "nodir/r.json"],
-    ["bench", "-w", "w.txt", "--hashes", "h.txt", "--potfile", "nodir/p.pot"],
-], ids=["gen-output", "gen-provenance", "gen-stats-json", "crack-potfile", "bench-json",
-        "bench-potfile"])
+_OUTPUTS = [
+    ["gen", "-w", "w.txt", "-o"],
+    ["gen", "-w", "w.txt", "--provenance"],
+    ["gen", "-w", "w.txt", "--stats-json"],
+    ["crack", "--hashes", "h.txt", "-w", "w.txt", "--potfile"],
+    ["bench", "-w", "w.txt", "--hashes", "h.txt", "--json"],
+    ["bench", "-w", "w.txt", "--hashes", "h.txt", "--potfile"],
+]
+_OUTPUT_IDS = ["gen-output", "gen-provenance", "gen-stats-json", "crack-potfile", "bench-json",
+               "bench-potfile"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[(argv + ["nodir/out"], f"{argv[-1]} nodir/out: directory nodir does not exist")
+      for argv in _OUTPUTS],
+    *[(argv + [path], f"{argv[-1]} {path} is a directory")
+      for argv in _OUTPUTS for path in ("adir", ".")],
+], ids=[*_OUTPUT_IDS, *(f"{i}-is-{name}" for i in _OUTPUT_IDS for name in ("adir", "dot"))])
 def test_output_in_a_missing_directory_is_refused_before_any_work(capsys, monkeypatch,
-                                                                   tmp_path, argv):
-    # the inputs do not exist either: a check made after reading them would exit 2
+                                                                   tmp_path, argv, message):
+    # the inputs do not exist: a check made after reading them would exit 2
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert f"{argv[-2]} {argv[-1]}: directory nodir does not exist" in err
+    (tmp_path / "adir").mkdir()
+    assert run_cli(capsys, *argv) == refusal(argv[0], message)
 
 
 def test_import_loads_no_dataclasses_inspect_or_datetime():
