@@ -45,12 +45,22 @@ class WordList(Frozen):
         first-occurrence order; either holds _casefolded's own strings. Built
         on first use for each fold table and kept, keyed by the table's
         identity (the table is kept with it, so the identity is not reused).
+        The keys come from one translate over the newline-joined casefolds,
+        or word by word when a word or the table holds a newline (only words
+        and rules built in code can).
         """
         cached = self._fold_indexes.get(id(fold))
         if cached is None:
+            casefolded = self._casefolded
+            joined = "\n".join(casefolded)
+            if (joined.count("\n") == len(casefolded) - 1
+                    and 10 not in fold and 10 not in fold.values()):
+                # one translate for the whole list, split back at the newlines
+                keys = joined.translate(fold).split("\n")
+            else:   # a word or the table holds a newline
+                keys = [folded.translate(fold) for folded in casefolded]
             index: dict[str, str | list[str]] = {}
-            for folded in self._casefolded:
-                key = folded.translate(fold)
+            for key, folded in zip(keys, casefolded):
                 held = index.get(key)
                 if held is None:
                     index[key] = folded

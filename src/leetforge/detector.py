@@ -7,7 +7,6 @@ from typing import NamedTuple
 
 from ._value import Frozen
 from .corpus import WordList
-from .generator import apply_rule
 from .rules import BASE_RULE_ID, RuleSet
 
 
@@ -44,10 +43,16 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     RuleSet.fold) can hold a base; when it is empty no rule is tried. Where a
     bucket word and the password line up, the rules tried for the word are
     those that turn every differing character of the word into the
-    password's (RuleSet.rules_by_fold_pair). Each that also passes its
-    inverse_screen rebuilds the base, and the base counts only when
-    re-applying the rule reproduces the password. Findings come in rule
-    order, then dictionary order.
+    password's (RuleSet.rules_by_fold_pair). When there are any, one shared
+    base is built for the word: the word's character where the casefolds
+    differ, the password's elsewhere. A rule that passes its inverse_screen
+    takes that shared base when its merge_screen allows: every differing
+    pair inverts to the word's character, and the password holds no
+    character the rule both emits and maps to another. Any other rule (a cs
+    rule such as A>4, a chained one such as a>A,A>b) rebuilds its base
+    position by position. A base counts only when re-applying the rule
+    reproduces the password. Findings come in rule order, then dictionary
+    order.
 
     Of the bases that casefold to a word, the one reported takes at each
     position the most preferred preimage of the password's character (see
@@ -66,29 +71,44 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
             need = {c + d for c, e, d in zip(password, folded, word) if e != d}
             if need:
                 rules = frozenset.intersection(*[by_pair.get(q, frozenset()) for q in need])
+                if not rules:
+                    continue
+                # the word's character where the casefolds differ, the password's elsewhere
+                merged = "".join([d if e != d else c for c, e, d in zip(password, folded, word)])
+                if merged == word:
+                    merged = word   # share the dictionary's string
             else:   # the base differs only in case, by a character the rule changes
                 rules = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
+                merged = None
         else:
-            need, rules = None, range(len(rs))
-        tries += [(i, word, need) for i in rules]
+            need, rules, merged = None, range(len(rs)), None
+        tries += [(i, word, need, merged) for i in rules]
     tries.sort(key=itemgetter(0))
     chars = set(password)
+    rules = rs.rules
     findings = []
-    for i, word, need in tries:
-        rule = rs[i]
+    for i, word, need, merged in tries:
+        rule = rules[i]
         replacements, blocking = rule.inverse_screen
         if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
             continue
         if need:
-            # Each position takes its first preimage with the word's casefold
-            # there; a character no pair emits stays.
-            inverse = rule.fold_inverse
-            base = "".join([inverse.get(c + d, c) for c, d in zip(password, word)])
-            if base == word:
-                base = word   # share the dictionary's string
+            plain, remapped = rule.merge_screen
+            if need <= plain and chars.isdisjoint(remapped):
+                base = merged
+            else:
+                # Each position takes its first preimage with the word's
+                # casefold there; a character no pair emits stays.
+                inverse = rule.fold_inverse
+                base = "".join([inverse.get(c + d, c) for c, d in zip(password, word)])
+                if base == word:
+                    base = word   # share the dictionary's string
         else:
             base = _search_base(password, word, rule.fold_preimages)
-        if base is not None and apply_rule(base, rule) == password:
+            if base is None:
+                continue
+        out = base.translate(rule.translation)
+        if out == password and out != base:   # apply_rule(base, rule) == password
             findings.append(Finding(base, rule.id))
     return findings
 
@@ -139,5 +159,5 @@ def audit(password: str, rs: RuleSet, dictionary: WordList) -> DetectionResult:
     findings = deleet(password, rs, dictionary)
     if dictionary.contains_casefold(password):
         findings.append(Finding(password, BASE_RULE_ID))
-    findings.sort(key=lambda f: (f.rule_id, f.base_word))
+    findings.sort(key=itemgetter(1, 0))
     return DetectionResult(password, tuple(findings))

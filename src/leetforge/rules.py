@@ -165,6 +165,21 @@ class ReplacementRule(Frozen):
         return table
 
     @cached_property
+    def merge_screen(self) -> tuple[frozenset[str], frozenset[str]]:
+        """(plain pairs, remapped replacements) of the rule.
+
+        The plain pairs are the keys c + f of fold_inverse that invert to f
+        itself. The remapped replacements are the replacement characters the
+        rule turns into another character: b in a>b,b>c, or A in a>A,A>b cs.
+        deleet shares one base across a word's rules; a rule may take it only
+        when every differing pair is plain and the password holds no remapped
+        replacement, since then the rule's own base is that shared one.
+        """
+        table = self.translation
+        plain = frozenset(q for q, x in self.fold_inverse.items() if x == q[1])
+        return plain, frozenset(r for r in table.values() if table.get(ord(r), r) != r)
+
+    @cached_property
     def inverse_screen(self) -> tuple[frozenset[str], frozenset[str]]:
         """(replacement characters, blocking characters) of the rule.
 

@@ -6,7 +6,8 @@ import random
 import string
 import sys
 
-from leetforge import WordList, apply_rule, audit, builtin_rules, deleet, detector, parse_rules
+from leetforge import (CharPair, ReplacementRule, RuleSet, WordList, apply_rule, audit,
+                       builtin_rules, deleet, detector, parse_rules)
 from oracles import audit_reference
 from synthetic import case_noise, random_custom_rules
 
@@ -62,6 +63,16 @@ def test_deleet_inverts_case_sensitive_uppercase_source():
     assert audit("4BC", rs, dictionary).findings == (("ABC", "X"),)
     # the lowercase "abc" is the dictionary word too, but "a" is not a source
     assert deleet("4bc", rs, dictionary) == [("Abc", "X")]
+
+
+def test_deleet_rebuilds_the_base_where_the_password_holds_a_remapped_replacement():
+    # The per-rule base of A0 is ao: the A comes from a. Keeping the
+    # password's A where the casefolds agree would give Ao, which re-applies
+    # to b0, since the rule also turns A into b.
+    rs = parse_rules("X\ta>A,A>b,o>0\tcs\n")
+    assert rs[0].merge_screen[1] == {"A"}
+    assert apply_rule("ao", rs[0]) == "A0" and apply_rule("Ao", rs[0]) == "b0"
+    assert deleet("A0", rs, WordList.from_words(["ao"])) == [("ao", "X")]
 
 
 def test_deleet_inverts_titlecase_sources():
@@ -223,6 +234,22 @@ def test_fold_index_is_built_once_per_fold_and_shares_strings():
     # an uppercase word's bucket holds the casefold table's own string
     gamma = next(key for key in dictionary._casefolded if key == "gamma")
     assert index["gamma".translate(RS.fold)] is gamma
+
+
+def test_fold_index_with_newlines_matches_word_by_word():
+    # a newline in a word or in the fold table cannot take the one-pass
+    # join-and-split: each falls back to folding word by word
+    rs = RuleSet((ReplacementRule("N", (CharPair("\n", "x"),)),
+                  ReplacementRule("Y", (CharPair("y", "\n"),))))
+    assert 10 in rs.fold or 10 in rs.fold.values()
+    for words in (["a\nb", "axb", "ayb", "plain"], ["axb", "ayb", "Q"]):
+        for fold in (rs.fold, RS.fold):
+            dictionary = WordList.from_words(words)
+            want: dict = {}
+            for folded in dictionary._casefolded:
+                want.setdefault(folded.translate(fold), []).append(folded)
+            want = {key: held[0] if len(held) == 1 else held for key, held in want.items()}
+            assert dictionary.fold_index(fold) == want
 
 
 def test_audit_flags_pattern_password():
