@@ -8,7 +8,7 @@ from typing import Iterator
 
 from ._value import Value
 from .corpus import WordList
-from .rules import BASE_RULE_ID, ReplacementRule, RuleSet
+from .rules import BASE_RULE_ID, ReplacementRule, RuleSet, _claimed
 
 
 CandidateRecord = tuple[bytes, str, str]  # candidate (UTF-8 bytes), base_word, rule_id
@@ -76,6 +76,110 @@ def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None],
     return [shared if counts[key] > 1 else own for key in keys]
 
 
+# A block of consecutive rules claims at most this many character classes, so
+# it caches at most 2 ** 8 plans.
+_BLOCK_CLASSES = 8
+
+
+class _Plans(dict):
+    """One block's plans by class key, each built on its first use.
+
+    entries holds, in rule-set order, the facts of each rule the plans look
+    at (see _plan_blocks) and its compiled record: None for an earlier rule
+    that only proves copies.
+    """
+
+    def __init__(self, entries: list[tuple[tuple, tuple | None]], dedup: bool):
+        super().__init__()
+        self.entries = entries
+        self.dedup = dedup
+
+    def __missing__(self, key: int) -> tuple[tuple, int]:
+        run, copies, images = [], 0, set()
+        for (_, change, changes, pair_masks), record in self.entries:
+            present = key & change
+            if not present or pair_masks and not all(key & m for m in pair_masks):
+                continue
+            if self.dedup:
+                image = (changes if present == change
+                         else tuple([c for c in changes if present & c[0]]))
+                if image in images:
+                    copies += record is not None
+                    continue
+                images.add(image)
+            if record is not None:
+                run.append(record)
+        plan = self[key] = (tuple(run), copies)
+        return plan
+
+
+def _class_bits(rs: RuleSet) -> dict[str, int]:
+    """Each character a rule replaces, mapped to the bit of its class.
+
+    Characters share a class when every rule treats them alike: the same
+    rules, the same pair in each, the same replacement, and each maps to
+    itself under the same rules (under E>e, e maps to itself and E does not).
+    """
+    signatures: dict[str, list] = {}
+    for i, rule in enumerate(rs):
+        for j, p in enumerate(rule.pairs):
+            for ch in _claimed(p, rule.case_insensitive):
+                signatures.setdefault(ch, []).append((i, j, p.replacement, ch == p.replacement))
+    ids: dict[tuple, int] = {}
+    return {ch: 1 << ids.setdefault(tuple(sig), len(ids)) for ch, sig in signatures.items()}
+
+
+def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
+                 dedup: bool) -> list[tuple[_Plans, int]]:
+    """The rule set cut into blocks: each block's plan cache and its classes.
+
+    A block's plan for a word lists, in order, the block's rules that change
+    a class the word holds and, with strict_multi, find a source of every
+    pair. With dedup it leaves out and counts each copy: a rule that agrees,
+    on every class the word holds, with an earlier rule that applies and
+    whose classes all lie in the block, since the earlier output is in the
+    dedup set already.
+    """
+    # per rule: (claimed classes, changed classes, (class, replacement) for
+    # each changed class, claimed classes per pair when strict_multi applies)
+    facts = []
+    for rule in rs:
+        changes: dict[int, str] = {}
+        pair_masks = []
+        for p in rule.pairs:
+            mask = 0
+            for ch in _claimed(p, rule.case_insensitive):
+                mask |= bits[ch]
+                if ch != p.replacement:
+                    changes[bits[ch]] = p.replacement
+            pair_masks.append(mask)
+        strict = strict_multi and len(pair_masks) > 1
+        facts.append((sum(pair_masks), sum(changes), tuple(sorted(changes.items())),
+                      tuple(pair_masks) if strict else ()))
+    compiled = [(r.id, r.arity, r.byte_table, r.translation) for r in rs]
+
+    def block(start: int, stop: int, mask: int) -> tuple[_Plans, int]:
+        # An earlier rule can prove a copy when its classes all lie in the
+        # block and it shares a change with a rule of the block.
+        own_changes = {c for i in range(start, stop) for c in facts[i][2]}
+        witnesses = [(facts[i], None) for i in range(start)
+                     if dedup and not facts[i][0] & ~mask
+                     and own_changes.intersection(facts[i][2])]
+        members = [(facts[i], compiled[i]) for i in range(start, stop)]
+        return _Plans(witnesses + members, dedup), mask
+
+    blocks = []
+    start = mask = 0
+    for i, (claim, *_) in enumerate(facts):
+        if (mask | claim).bit_count() > _BLOCK_CLASSES:
+            blocks.append(block(start, i, mask))
+            start, mask = i, 0
+        mask |= claim
+    if facts:
+        blocks.append(block(start, len(facts), mask))
+    return blocks
+
+
 def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: bool,
                 dedup: bool, stats: GenStats) -> Iterator[CandidateRecord]:
     # Candidates and dedup keys are UTF-8 bytes ("surrogatepass" keeps lone
@@ -97,35 +201,35 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                 seen.add(wb)
             stats.by_arity["base"] += 1
             yield wb, word, BASE_RULE_ID
-    # flattened per-rule data keeps the inner loop free of attribute lookups;
-    # the last field is the rule only when strict_multi can drop its output
-    compiled = [(r.id, r.arity, r.byte_table, r.translation,
-                 r if strict_multi and len(r.pairs) > 1 else None) for r in rs]
+    bits = _class_bits(rs)
+    class_of = bits.get
+    blocks = _plan_blocks(rs, bits, strict_multi, dedup)
     by_arity = stats.by_arity
     for word, seen in zip(wl.words, word_sets):
         if seen is own:
             own.clear()
         wb = word.encode("utf-8", "surrogatepass")
-        for rule_id, arity, byte_table, table, strict_rule in compiled:
-            if strict_rule is not None and not strict_rule.sources_present(word):
-                continue
-            if byte_table is not None:
-                # ASCII pairs never touch a byte of a multi-byte UTF-8 sequence
-                ob = wb.translate(byte_table)
-                if ob == wb:
-                    continue
-            else:
-                out = word.translate(table)
-                if out == word:
-                    continue
-                ob = out.encode("utf-8", "surrogatepass")
-            if seen is not None:
-                if ob in seen:
-                    stats.suppressed_duplicates += 1
-                    continue
-                seen.add(ob)
-            by_arity[arity] += 1
-            yield ob, word, rule_id
+        key = 0
+        for ch in word:
+            key |= class_of(ch, 0)
+        for plans, mask in blocks:
+            run, copies = plans[key & mask]
+            if copies:
+                stats.suppressed_duplicates += copies
+            # every rule in the plan changes the word
+            for rule_id, arity, byte_table, table in run:
+                if byte_table is not None:
+                    # ASCII pairs never touch a byte of a multi-byte UTF-8 sequence
+                    ob = wb.translate(byte_table)
+                else:
+                    ob = word.translate(table).encode("utf-8", "surrogatepass")
+                if seen is not None:
+                    if ob in seen:
+                        stats.suppressed_duplicates += 1
+                        continue
+                    seen.add(ob)
+                by_arity[arity] += 1
+                yield ob, word, rule_id
 
 
 def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
@@ -144,6 +248,18 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     base words are distinct. So only words whose key another word shares keep
     their candidates in one set for the whole stream; every other word dedups
     its mangles in a set of its own, emptied when the next word starts.
+
+    Most rules change a given word not at all, or exactly as an earlier rule
+    does (D1 a>@,o>0 on a word with no o is S5 a>@), so each word translates
+    only through a plan. Characters every rule treats alike share a class
+    (a and A under the builtin rules, 16 classes in all), and a word's key is
+    the set of classes it holds. Consecutive rules are cut into blocks that
+    claim at most 8 classes, and each block keeps one plan per key, built on
+    first use: the rules that change the word, and the number of copies,
+    rules that agree on the word's classes with an earlier rule that applies
+    and claims no class outside the block. Copies count as suppressed with no
+    translate, since the earlier output is in the dedup set already. So a
+    stream keeps at most 256 plans per block, whatever the word count.
     """
     stats = GenStats()
     return CandidateStream(_candidates(wl, rs, include_base, strict_multi, dedup, stats), stats)

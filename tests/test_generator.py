@@ -164,6 +164,31 @@ def test_generate_dedup_memory_does_not_grow_with_unshared_words():
     assert (peak - start) / n < 500
 
 
+def test_generate_plan_memory_does_not_grow_with_unshared_words():
+    # each word holds a random set of the 16 letters the builtin rules
+    # replace, so the first n words reach nearly every class key of every
+    # block; plans kept per key, not per word, then grow by nothing much
+    # across 10x as many words, traced from word n on
+    n = 500
+    rng = random.Random(16)
+    prefixes = itertools.islice(itertools.product("cjknpquwxy", repeat=7), 11 * n)
+    wl = WordList.from_words(
+        "".join(p) + "a" + "".join(c for c in "bdefghilmorstvz" if rng.random() < 0.5)
+        for p in prefixes)
+    start_at, stop_at = wl.words[n], wl.words[-1]
+    grown = None
+    try:
+        for _, base, _ in generate(wl, RS):
+            if base == start_at and not tracemalloc.is_tracing():
+                tracemalloc.start()
+            elif base == stop_at and grown is None:
+                grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # ~0.3 B per word; ~430 B with a plan kept for every word's whole key
+    assert grown / (10 * n) < 16
+
+
 def test_generate_deterministic():
     wl = WordList.from_words(["password", "dragon", "jessica"])
     a, _ = _records(wl, RS, include_base=True)
@@ -299,6 +324,42 @@ def test_generate_matches_ordered_reference_on_colliding_words():
         unshared_words += len(keys) - shared
         _assert_matches_ordered_reference(wl, rs)
     assert shared_words > 10 * len(rule_sets) and unshared_words > 10 * len(rule_sets)
+
+
+def test_generate_keeps_pairs_with_one_replacement_apart_under_strict_multi():
+    # o and é turn into the same $, but under strict_multi a word needs a
+    # source of each pair: o and é must not count as one character class
+    rs = parse_rules("U\to>$,\u00e9>$\n")
+    wl = WordList.from_words(["zoo", "zoo\u00e9"])
+    records, stats = _records(wl, rs, strict_multi=True)
+    assert records == [(_encoded("z$$$"), "zoo\u00e9", "U")]
+    assert stats.to_dict() == generate_reference(wl.words, rs, strict_multi=True)[1]
+
+
+def test_generate_character_that_maps_to_itself_changes_nothing():
+    # case-insensitive \u00c9>\u00e9 also maps \u00e9 to itself: \u00e9 must not share
+    # \u00c9's class, or a word holding only \u00e9 would emit itself
+    rs = parse_rules("E\t\u00c9>\u00e9\n")
+    wl = WordList.from_words(["x\u00e9", "x\u00c9"])
+    records, _ = _records(wl, rs)
+    assert records == [(_encoded("x\u00e9"), "x\u00c9", "E")]
+    _assert_matches_ordered_reference(wl, rs)
+
+
+def test_generate_copy_of_a_rule_claiming_classes_outside_its_block():
+    # A, D and G claim 8 character classes, so I starts a new block and A2
+    # joins it. A2 copies A on a word without b or c, but A claims b and c,
+    # which lie outside that block, so no plan may count A2 as A's copy:
+    # on "ab" A gives "12" and A2 "1b". The copies A2 does make on "xa", "yA"
+    # and "ia" are suppressed through the own dedup set of each word.
+    rs = parse_rules("A\ta>1,b>2,c>3\nD\td>4,e>5,f>6\nG\tg>7,h>8\nI\ti>9\nA2\ta>1\n")
+    wl = WordList.from_words(["xa", "ab", "yA", "cab", "ia"])
+    keys = [w.casefold().translate(rs.fold) for w in wl.words]
+    assert len(set(keys)) == len(keys)   # every word dedups in its own set
+    _assert_matches_ordered_reference(wl, rs)
+    records, stats = _records(wl, rs)
+    assert (b"1b", "ab", "A2") in records
+    assert stats.suppressed_duplicates == 3
 
 
 def test_empty_wordlist_generates_nothing():
