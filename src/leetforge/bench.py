@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from ._value import Value
 from .corpus import WordList
-from .cracker import crack, format_potfile, load_hashes
+from .cracker import HashStore, crack, load_hashes
 from .generator import base_candidates, generate
 from .rules import RuleSet, builtin_rules
 
@@ -20,6 +19,14 @@ def uplift(baseline: int, pattern: int) -> float | None:
 
 
 class BenchReport(Value):
+    """The counts of one run_benchmark call.
+
+    pattern_store, set by run_benchmark, is the pattern phase's HashStore:
+    its recovered entries are what `bench --potfile` writes. It is not a
+    field, so to_dict(), == and repr leave it out.
+    """
+
+    pattern_store: HashStore | None = None
     _fields = ("wordlist_size", "candidate_count", "hash_raw", "hash_unique",
                "baseline_recovered", "pattern_recovered", "uplift_percent", "throughput",
                "ruleset_name", "options", "started_at", "finished_at")
@@ -61,14 +68,13 @@ def _utcnow() -> str:
 def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet, *,
                   patterns_only: bool = False, strict_multi: bool = False,
                   dedup: bool = True, algorithm: str = "md5", threads: int = 1,
-                  ruleset_name: str | None = None,
-                  potfile_path: str | Path | None = None) -> BenchReport:
+                  ruleset_name: str | None = None) -> BenchReport:
     """Measure pattern-rule uplift over a plain-wordlist baseline.
 
     The pattern phase includes the base words unless patterns_only is set, so
     by default it is a strict superset of the baseline run. strict_multi and
-    dedup are passed to generate. When potfile_path is given, the pattern
-    phase's recovered entries are written there. ruleset_name defaults to
+    dedup are passed to generate. The report's pattern_store holds the
+    pattern phase's recovered entries. ruleset_name defaults to
     "builtin", "none" or "custom", as rs is the builtin set, empty or other.
     threads has no effect: perfbench/workloads.py is its only user, so it
     goes when that file stops passing it.
@@ -85,9 +91,7 @@ def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet, *,
                       strict_multi=strict_multi, dedup=dedup)
     pattern = crack(pattern_store, stream)
     finished = _utcnow()
-    if potfile_path is not None:
-        Path(potfile_path).write_text(format_potfile(pattern_store), encoding="utf-8")
-    return BenchReport(
+    report = BenchReport(
         wordlist_size=len(wl),
         candidate_count=stream.stats.emitted,
         hash_raw=pattern_store.raw_count,
@@ -102,6 +106,8 @@ def run_benchmark(wl: WordList, hash_source: str | bytes, rs: RuleSet, *,
         started_at=started,
         finished_at=finished,
     )
+    report.pattern_store = pattern_store
+    return report
 
 
 def format_report_table(report: BenchReport) -> str:

@@ -181,11 +181,16 @@ def cmd_bench(args) -> int:
     report = run_benchmark(
         wl, Path(args.hashes).read_bytes(), rs, patterns_only=args.patterns_only,
         strict_multi=args.strict_multi, dedup=not args.no_dedup, algorithm=args.algorithm,
-        ruleset_name=args.rules, potfile_path=args.potfile)
+        ruleset_name=args.rules)
     doc = json.dumps(report.to_dict(), indent=2)
-    print(doc)
-    if args.json:
-        Path(args.json).write_text(doc + "\n", encoding="utf-8")
+    try:  # files first: a reader that closed stdout early must not cost them
+        if args.potfile:
+            Path(args.potfile).write_text(format_potfile(report.pattern_store),
+                                          encoding="utf-8")
+        if args.json:
+            Path(args.json).write_text(doc + "\n", encoding="utf-8")
+    finally:  # and a failed write must not cost stdout the report
+        print(doc)
     if args.table:
         sys.stderr.write(format_report_table(report))
     return EXIT_OK

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from ._value import Frozen
 from .errors import WordlistDecodeError
@@ -45,22 +45,12 @@ class WordList(Frozen):
         first-occurrence order; either holds _casefolded's own strings. Built
         on first use for each fold table and kept, keyed by the table's
         identity (the table is kept with it, so the identity is not reused).
-        The keys come from one translate over the newline-joined casefolds,
-        or word by word when a word or the table holds a newline (only words
-        and rules built in code can).
         """
         cached = self._fold_indexes.get(id(fold))
         if cached is None:
             casefolded = self._casefolded
-            joined = "\n".join(casefolded)
-            if (joined.count("\n") == len(casefolded) - 1
-                    and 10 not in fold and 10 not in fold.values()):
-                # one translate for the whole list, split back at the newlines
-                keys = joined.translate(fold).split("\n")
-            else:   # a word or the table holds a newline
-                keys = [folded.translate(fold) for folded in casefolded]
             index: dict[str, str | list[str]] = {}
-            for key, folded in zip(keys, casefolded):
+            for key, folded in zip(_fold_keys(casefolded, fold), casefolded):
                 held = index.get(key)
                 if held is None:
                     index[key] = folded
@@ -83,6 +73,21 @@ def _shared_casefold(word: str) -> str:
     the cached casefolds of a mostly lowercase list share its strings."""
     folded = word.casefold()
     return word if folded == word else folded
+
+
+def _fold_keys(words: Collection[str], fold: dict[int, int | None]) -> list[str]:
+    """word.casefold().translate(fold) for each word, in order.
+
+    One casefold and one translate run over the newline-joined words, split
+    back at the newlines, or each word is folded on its own when a word or
+    the table holds a newline (only words and rules built in code can).
+    casefold maps each character on its own, never to a newline, and
+    casefolds a casefold to itself, so both ways give the same keys.
+    """
+    joined = "\n".join(words)
+    if joined.count("\n") == len(words) - 1 and 10 not in fold and 10 not in fold.values():
+        return joined.casefold().translate(fold).split("\n")
+    return [word.casefold().translate(fold) for word in words]
 
 
 def read_lines(source: str, data: str | bytes, first_line: int = 1) -> list[str]:

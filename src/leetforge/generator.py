@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterator
 
 from ._value import Value
-from .corpus import WordList
+from .corpus import WordList, _fold_keys
 from .rules import BASE_RULE_ID, ReplacementRule, RuleSet, _claimed
 
 
@@ -67,17 +66,19 @@ class CandidateStream:
         return self._iterator
 
 
-def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None],
-                shared: set[bytes], own: set[bytes]) -> list[set[bytes]]:
-    """For each word, the set its candidates dedup in: shared when another
-    word has the same fold key, own otherwise. The keys are dropped on return."""
-    keys = [word.casefold().translate(fold) for word in words]
+def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None]) -> list[set[bytes] | None]:
+    """For each word, the set its candidates dedup in: one set per fold key
+    that more than one word has, None for a key of one word. The keys are
+    dropped on return, so each set lives only as long as the list's entries."""
+    keys = _fold_keys(words, fold)
     counts = Counter(keys)
-    return [shared if counts[key] > 1 else own for key in keys]
+    sets: defaultdict[str, set[bytes]] = defaultdict(set)
+    return [sets[key] if counts[key] > 1 else None for key in keys]
 
 
-# A block of consecutive rules claims at most this many character classes, so
-# it caches at most 2 ** 8 plans.
+# The classes of a block of consecutive rules and of their witnesses (see
+# _plan_blocks) number at most this many, unless those of one rule and its
+# witnesses alone are more; so a block caches at most 2 ** 8 plans.
 _BLOCK_CLASSES = 8
 
 
@@ -136,9 +137,11 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
     A block's plan for a word lists, in order, the block's rules that change
     a class the word holds and, with strict_multi, find a source of every
     pair. With dedup it leaves out and counts each copy: a rule that agrees,
-    on every class the word holds, with an earlier rule that applies and
-    whose classes all lie in the block, since the earlier output is in the
-    dedup set already.
+    on every class the word holds, with an earlier rule that applies. Two
+    rules give one output on a word exactly when they agree so, and then they
+    share a change; so each earlier rule that shares a change with a rule of
+    the block is a witness, and the block's classes hold the witnesses'
+    classes too. The plans thus prove every copy within a word.
     """
     # per rule: (claimed classes, changed classes, (class, replacement) for
     # each changed class, claimed classes per pair when strict_multi applies)
@@ -157,21 +160,26 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
         facts.append((sum(pair_masks), sum(changes), tuple(sorted(changes.items())),
                       tuple(pair_masks) if strict else ()))
     compiled = [(r.id, r.arity, r.byte_table, r.translation) for r in rs]
+    # per rule, the earlier rules that share a change with it
+    twins: list[set[int]] = []
+    by_change: dict[tuple[int, str], list[int]] = {}
+    for i, (_, _, changes, _) in enumerate(facts):
+        twins.append({j for c in changes for j in by_change.get(c, ())} if dedup else set())
+        for c in changes:
+            by_change.setdefault(c, []).append(i)
 
     def block(start: int, stop: int, mask: int) -> tuple[_Plans, int]:
-        # An earlier rule can prove a copy when its classes all lie in the
-        # block and it shares a change with a rule of the block.
-        own_changes = {c for i in range(start, stop) for c in facts[i][2]}
-        witnesses = [(facts[i], None) for i in range(start)
-                     if dedup and not facts[i][0] & ~mask
-                     and own_changes.intersection(facts[i][2])]
-        members = [(facts[i], compiled[i]) for i in range(start, stop)]
-        return _Plans(witnesses + members, dedup), mask
+        witnesses = sorted(j for j in set().union(*twins[start:stop]) if j < start)
+        entries = [(facts[j], None) for j in witnesses]
+        entries += [(facts[i], compiled[i]) for i in range(start, stop)]
+        return _Plans(entries, dedup), mask
 
     blocks = []
     start = mask = 0
     for i, (claim, *_) in enumerate(facts):
-        if (mask | claim).bit_count() > _BLOCK_CLASSES:
+        for j in twins[i]:
+            claim |= facts[j][0]
+        if i > start and (mask | claim).bit_count() > _BLOCK_CLASSES:
             blocks.append(block(start, i, mask))
             start, mask = i, 0
         mask |= claim
@@ -184,30 +192,30 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                 dedup: bool, stats: GenStats) -> Iterator[CandidateRecord]:
     # Candidates and dedup keys are UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
-    # as the strings would, in less memory per entry. Only words that share a
-    # fold key keep their candidates in `shared` (see generate); any other
-    # word dedups its mangles in `own`, cleared for each word.
-    shared: set[bytes] = set()
-    own: set[bytes] = set()
-    word_sets = (_dedup_sets(wl.words, rs.fold, shared, own) if dedup
-                 else itertools.repeat(None))
+    # as the strings would, in less memory per entry. The plans prove every
+    # copy within a word, so only words that share a fold key dedup in a set,
+    # one per key (see generate). The mangle loop pops each word's entry, so
+    # a key's set is freed once its last word has run its rules.
+    words = wl.words
+    word_sets = _dedup_sets(words, rs.fold) if dedup else [None] * len(words)
     if include_base:
-        for word, seen in zip(wl.words, word_sets):
+        for word, seen in zip(words, word_sets):
             wb = word.encode("utf-8", "surrogatepass")
-            if seen is shared:
+            if seen is not None:
                 if wb in seen:
                     stats.suppressed_duplicates += 1
                     continue
                 seen.add(wb)
             stats.by_arity["base"] += 1
             yield wb, word, BASE_RULE_ID
+    word_sets.reverse()
+    next_set = word_sets.pop
     bits = _class_bits(rs)
     class_of = bits.get
     blocks = _plan_blocks(rs, bits, strict_multi, dedup)
     by_arity = stats.by_arity
-    for word, seen in zip(wl.words, word_sets):
-        if seen is own:
-            own.clear()
+    for word in words:
+        seen = next_set()
         wb = word.encode("utf-8", "surrogatepass")
         key = 0
         for ch in word:
@@ -241,25 +249,30 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     is as in apply_rule. Dedup is global across the whole stream and keeps the
     first emission's provenance.
 
-    It stays exact without a set of every candidate. RuleSet.fold gives
-    apply_rule(b, r) == p only when b and p have the same fold key,
-    casefold().translate(fold); so two different words can emit one candidate
-    only if their keys are equal. A mangle never equals its own word, and the
-    base words are distinct. So only words whose key another word shares keep
-    their candidates in one set for the whole stream; every other word dedups
-    its mangles in a set of its own, emptied when the next word starts.
-
     Most rules change a given word not at all, or exactly as an earlier rule
     does (D1 a>@,o>0 on a word with no o is S5 a>@), so each word translates
     only through a plan. Characters every rule treats alike share a class
     (a and A under the builtin rules, 16 classes in all), and a word's key is
-    the set of classes it holds. Consecutive rules are cut into blocks that
-    claim at most 8 classes, and each block keeps one plan per key, built on
-    first use: the rules that change the word, and the number of copies,
-    rules that agree on the word's classes with an earlier rule that applies
-    and claims no class outside the block. Copies count as suppressed with no
-    translate, since the earlier output is in the dedup set already. So a
-    stream keeps at most 256 plans per block, whatever the word count.
+    the set of classes it holds. Two rules give one output on a word exactly
+    when they agree on the word's classes. Consecutive rules are cut into
+    blocks whose rules, and the earlier rules that share a change with one
+    of them, claim at most 8 classes; each block keeps one plan per key,
+    built on first use: the rules that change the word, and the number of
+    copies, rules that agree on the word's classes with an earlier rule that
+    applies. Copies count as suppressed with no translate. So the plans
+    suppress every copy within a word. A block keeps at most 256 plans,
+    whatever the word count, unless one rule and the earlier rules sharing
+    a change with it claim more than 8 classes (a custom rule set can); it
+    then keeps one plan per class key its words hold.
+
+    Across words it stays exact without a set of every candidate.
+    RuleSet.fold gives apply_rule(b, r) == p only when b and p have the same
+    fold key, casefold().translate(fold); so two different words can emit
+    one candidate only if their keys are equal. A mangle never equals its own
+    word, and the base words are distinct. So a word whose key no other word
+    shares dedups in no set at all. Words that share a key keep their
+    candidates in one set per key, dropped once the key's last word has run
+    its rules.
     """
     stats = GenStats()
     return CandidateStream(_candidates(wl, rs, include_base, strict_multi, dedup, stats), stats)

@@ -7,7 +7,7 @@ import re
 
 from leetforge import (RuleSet, WordList, bench, builtin_rules, crack, parse_rules,
                        run_benchmark, uplift)
-from leetforge.bench import format_report_table
+from leetforge.bench import BenchReport, format_report_table
 from oracles import md5_reference
 from synthetic import planted_corpus
 
@@ -49,18 +49,10 @@ def test_benchmark_pattern_store_shares_the_parsed_set(monkeypatch):
     assert pattern_store.digest_set is baseline_store.digest_set
     assert (report.baseline_recovered, report.pattern_recovered) == (10, 20)
     assert len(baseline_store.recovered) == 10 and len(pattern_store.recovered) == 20
-
-
-def test_benchmark_pattern_includes_baseline(tmp_path):
-    words, hash_text, _, _ = planted_corpus(120, 30, 25)
-    pot = tmp_path / "pattern.pot"
-    report = run_benchmark(WordList.from_words(words), hash_text, RS, potfile_path=pot)
-    planted = {bytes.fromhex(line) for line in hash_text.split()}
-    baseline = {md5_reference(w.encode("utf-8")) for w in words} & planted
-    recovered = {bytes.fromhex(line.split(":", 1)[0]) for line in pot.read_text().splitlines()}
-    assert len(baseline) == report.baseline_recovered == 30
-    assert baseline < recovered
-    assert report.pattern_recovered == len(recovered) == 55
+    # the report hands back the pattern phase's store, outside its fields
+    assert report.pattern_store is pattern_store
+    assert "pattern_store" not in report.to_dict() and "pattern_store" not in repr(report)
+    assert report == BenchReport(*(getattr(report, name) for name in report._fields))
 
 
 def test_benchmark_patterns_only():
@@ -99,16 +91,6 @@ def test_benchmark_candidate_count_matches_stream():
     report = run_benchmark(wl, hash_text, RS)
     # each word mangles to exactly three distinct forms (0/3/@ head)
     assert report.candidate_count == len(wl) * 4
-
-
-def test_benchmark_potfile(tmp_path):
-    words, hash_text, plain, mangled = planted_corpus(40, 8, 8)
-    pot = tmp_path / "bench.pot"
-    run_benchmark(WordList.from_words(words), hash_text, RS, potfile_path=pot)
-    lines = pot.read_text().splitlines()
-    assert len(lines) == 16
-    got = {line.split(":", 1)[1] for line in lines}
-    assert got == set(plain) | set(mangled)
 
 
 def test_report_json_types():

@@ -642,12 +642,17 @@ def test_same_named_word_lists_keep_their_paths(capsys, tmp_path):
     assert f"{b}, line 2: invalid UTF-8" in err
 
 
-def test_bench_end_to_end(capsys, tmp_path):
-    words, hash_text, _, _ = planted_corpus(100, 10, 10)
-    wordlist = tmp_path / "w.txt"
+def _bench_inputs(tmp_path, n_words, n_plain, n_mangled):
+    """A planted_corpus word list and digest list as files, and its planted words."""
+    words, hash_text, plain, mangled = planted_corpus(n_words, n_plain, n_mangled)
+    wordlist, hashes = tmp_path / "w.txt", tmp_path / "h.txt"
     wordlist.write_text("\n".join(words) + "\n")
-    hashes = tmp_path / "h.txt"
     hashes.write_text(hash_text)
+    return wordlist, hashes, plain, mangled
+
+
+def test_bench_end_to_end(capsys, tmp_path):
+    wordlist, hashes, _, _ = _bench_inputs(tmp_path, 100, 10, 10)
     report_file = tmp_path / "report.json"
     code, out, err = run_cli(capsys, "bench", "-w", wordlist, "--hashes", hashes,
                              "--json", report_file, "--table")
@@ -659,6 +664,60 @@ def test_bench_end_to_end(capsys, tmp_path):
     assert "threads" not in doc["options"]
     assert json.loads(report_file.read_text()) == doc
     assert "uplift" in err
+
+
+def test_bench_potfile_holds_the_pattern_phase(capsys, tmp_path):
+    wordlist, hashes, plain, mangled = _bench_inputs(tmp_path, 40, 8, 8)
+    pot = tmp_path / "bench.pot"
+    code, out, _ = run_cli(capsys, "bench", "-w", wordlist, "--hashes", hashes,
+                           "--potfile", pot)
+    assert code == 0 and json.loads(out)["pattern_recovered"] == 16
+    assert pot.read_text() == "".join(sorted(
+        f"{hashlib.md5(w.encode()).hexdigest()}:{w}\n" for w in plain + mangled))
+
+
+def test_bench_pattern_phase_recovers_the_baseline_and_more(capsys, tmp_path):
+    wordlist, hashes, _, _ = _bench_inputs(tmp_path, 120, 30, 25)
+    pot = tmp_path / "pattern.pot"
+    code, out, _ = run_cli(capsys, "bench", "-w", wordlist, "--hashes", hashes,
+                           "--potfile", pot)
+    doc = json.loads(out)
+    words = wordlist.read_text().split()
+    planted = {bytes.fromhex(line) for line in hashes.read_text().split()}
+    baseline = {hashlib.md5(w.encode()).digest() for w in words} & planted
+    recovered = {bytes.fromhex(line.split(":", 1)[0]) for line in pot.read_text().splitlines()}
+    assert code == 0
+    assert len(baseline) == doc["baseline_recovered"] == 30
+    assert baseline < recovered
+    assert doc["pattern_recovered"] == len(recovered) == 55
+
+
+@_DEV_FULL
+def test_bench_prints_its_report_when_the_potfile_write_fails(capsys, tmp_path):
+    # /dev/full: every write fails as on a full disk, after all the work is done
+    wordlist, hashes, _, _ = _bench_inputs(tmp_path, 40, 8, 8)
+    code, out, err = run_cli(capsys, "bench", "-w", wordlist, "--hashes", hashes,
+                             "--potfile", "/dev/full")
+    assert code == 2
+    assert json.loads(out)["pattern_recovered"] == 16
+    assert err.startswith("leetforge: error: ") and os.strerror(errno.ENOSPC) in err
+
+
+def test_bench_potfile_when_stdout_is_closed(tmp_path):
+    # `leetforge bench ... --potfile FILE | true`: the potfile is still written
+    wordlist, hashes, plain, mangled = _bench_inputs(tmp_path, 40, 8, 8)
+    pot = tmp_path / "bench.pot"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "leetforge.cli", "bench", "--hashes",
+                               str(hashes), "-w", str(wordlist), "--potfile", str(pot)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=cli_env(),
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(pot.read_text().splitlines()) == len(plain + mangled)
 
 
 @pytest.mark.parametrize("flag,options", [("--patterns-only", {"patterns_only": True}),

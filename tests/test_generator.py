@@ -8,9 +8,12 @@ import random
 import string
 import tracemalloc
 
+import pytest
+
 from leetforge import (BASE_RULE_ID, CharPair, GenStats, ReplacementRule, RuleSet,
                        WordList, apply_rule, base_candidates, builtin_rules, generate,
                        parse_rules)
+from leetforge.generator import _class_bits, _plan_blocks
 from oracles import generate_reference, mangle_reference
 from synthetic import random_custom_rules
 
@@ -146,8 +149,8 @@ def test_generate_no_dedup_counts_everything():
 
 
 def test_generate_dedup_memory_does_not_grow_with_unshared_words():
-    # no builtin rule touches these letters, so every word's fold key is its own
-    # and its mangles dedup in the per-word set, which each next word empties
+    # no builtin rule touches these letters, so every word's fold key is its
+    # own and its mangles dedup in no set at all: the plans prove its copies
     n = 2000
     prefixes = itertools.islice(itertools.product("cjknpquwxy", repeat=7), n)
     wl = WordList.from_words("".join(p) + "salute" for p in prefixes)
@@ -160,7 +163,7 @@ def test_generate_dedup_memory_does_not_grow_with_unshared_words():
     finally:
         tracemalloc.stop()
     assert stream.stats.emitted == 31 * n
-    # ~110 B per word with the per-word set emptied, ~2,500 B if it kept growing
+    # ~120 B per word, held by the fold keys; ~2,500 B if one set kept them all
     assert (peak - start) / n < 500
 
 
@@ -186,6 +189,32 @@ def test_generate_plan_memory_does_not_grow_with_unshared_words():
     finally:
         tracemalloc.stop()
     # ~0.3 B per word; ~430 B with a plan kept for every word's whole key
+    assert grown / (10 * n) < 16
+
+
+@pytest.mark.parametrize("include_base", [False, True])
+def test_generate_dedup_sets_are_freed_after_their_last_word(include_base):
+    # each word and its capitalised twin, next to it, share a fold key and so
+    # a dedup set; the set goes once the twin has run its rules, so retained
+    # memory grows by nothing much across 10x as many words, traced from
+    # word n on
+    n = 500
+    prefixes = itertools.islice(itertools.product("cjknpquwxy", repeat=7), 11 * n // 2)
+    wl = WordList.from_words(w for p in prefixes
+                             for w in ("".join(p) + "salute", "".join(p).capitalize() + "salute"))
+    start_at, stop_at = wl.words[n], wl.words[-1]
+    grown = None
+    try:
+        for _, base, rule_id in generate(wl, RS, include_base=include_base):
+            if rule_id == BASE_RULE_ID:
+                continue
+            if base == start_at and not tracemalloc.is_tracing():
+                tracemalloc.start()
+            elif base == stop_at and grown is None:
+                grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # ~0 B per word; ~2,500 B with each set kept to the end of the stream
     assert grown / (10 * n) < 16
 
 
@@ -285,7 +314,7 @@ def test_generate_matches_ordered_reference_on_mixed_rules():
     for _ in range(40):
         rs = _random_mixed_rules(rng, rng.randint(1, 8))
         paths |= {r.byte_table is None for r in rs}
-        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8)))
                  for _ in range(rng.randint(1, 20))]
         words.append("s\udc80e")   # a lone surrogate, as WordList.from_words allows
         _assert_matches_ordered_reference(WordList.from_words(words), rs)
@@ -348,18 +377,67 @@ def test_generate_character_that_maps_to_itself_changes_nothing():
 
 def test_generate_copy_of_a_rule_claiming_classes_outside_its_block():
     # A, D and G claim 8 character classes, so I starts a new block and A2
-    # joins it. A2 copies A on a word without b or c, but A claims b and c,
-    # which lie outside that block, so no plan may count A2 as A's copy:
-    # on "ab" A gives "12" and A2 "1b". The copies A2 does make on "xa", "yA"
-    # and "ia" are suppressed through the own dedup set of each word.
+    # joins it. A2 copies A on a word without b or c, but A claims b and c:
+    # on "ab" A gives "12" and A2 "1b". So A is a witness of the later block
+    # and the block's plans look at b and c too. No word shares its fold key,
+    # so no word dedups in a set: A2's copies on "xa", "yA" and "ia" are
+    # counted by the plans alone.
     rs = parse_rules("A\ta>1,b>2,c>3\nD\td>4,e>5,f>6\nG\tg>7,h>8\nI\ti>9\nA2\ta>1\n")
     wl = WordList.from_words(["xa", "ab", "yA", "cab", "ia"])
     keys = [w.casefold().translate(rs.fold) for w in wl.words]
-    assert len(set(keys)) == len(keys)   # every word dedups in its own set
+    assert len(set(keys)) == len(keys)
     _assert_matches_ordered_reference(wl, rs)
     records, stats = _records(wl, rs)
     assert (b"1b", "ab", "A2") in records
     assert stats.suppressed_duplicates == 3
+
+
+# 11 source letters, each with two replacements of its own, so that rule sets
+# claim more than 8 character classes and fold keys stay apart
+_TWIN_SOURCES = "abcdefghijk"
+_TWIN_REPLACEMENTS = "0123456789!#$%&*+=?@^~"
+
+
+def _twin_rules(rng, n):
+    """n rules whose pairs come from a pool of 22, so that many rules share a
+    change with an earlier one."""
+    rules = []
+    for i in range(n):
+        pairs = tuple(CharPair(s, _TWIN_REPLACEMENTS[2 * _TWIN_SOURCES.index(s)
+                                                     + rng.randint(0, 1)])
+                      for s in rng.sample(_TWIN_SOURCES, rng.randint(1, 3)))
+        rules.append(ReplacementRule(f"W{i}", pairs, case_insensitive=rng.random() < 0.7))
+    return RuleSet(tuple(rules))
+
+
+def test_generate_plans_are_exact_within_a_word():
+    # A word whose fold key no other word shares dedups in no set, so the
+    # plans alone must suppress every copy within it, also of an earlier
+    # rule that claims classes outside the copying rule's block. Rule sets
+    # of 8-16 rules over 11 letters cut into 2 or more blocks, and most
+    # blocks have a witness that claims a class none of their rules claims.
+    rng = random.Random(21)
+    alphabet = _TWIN_SOURCES + _TWIN_SOURCES.upper() + "0!@xy"
+    cut = outside = unshared = 0
+    for _ in range(60):
+        rs = _twin_rules(rng, rng.randint(8, 16))
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8)))
+                 for _ in range(25)]
+        words += [w.swapcase() for w in words[:3]]   # some words share a key
+        wl = WordList.from_words(words)
+        _assert_matches_ordered_reference(wl, rs)
+        keys = collections.Counter(w.casefold().translate(rs.fold) for w in wl.words)
+        unshared += sum(n == 1 for n in keys.values())
+        blocks = _plan_blocks(rs, _class_bits(rs), False, True)
+        cut += len(blocks) > 1
+        for plans, _ in blocks:
+            claimed = 0
+            for (claim, *_), record in plans.entries:
+                if record is not None:
+                    claimed |= claim
+            outside += any(record is None and claim & ~claimed
+                           for (claim, *_), record in plans.entries)
+    assert cut == 60 and outside > 120 and unshared > 60 * 20
 
 
 def test_empty_wordlist_generates_nothing():
