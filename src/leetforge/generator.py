@@ -76,9 +76,9 @@ def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None]) -> list[set
     return [sets[key] if counts[key] > 1 else None for key in keys]
 
 
-# The classes of a block of consecutive rules and of their witnesses (see
-# _plan_blocks) number at most this many, unless those of one rule and its
-# witnesses alone are more; so a block caches at most 2 ** 8 plans.
+# A block of consecutive rules and its witnesses (see _plan_blocks) claim at
+# most this many character classes, unless one rule alone claims more; so a
+# block caches at most 2 ** 8 plans.
 _BLOCK_CLASSES = 8
 
 
@@ -131,17 +131,20 @@ def _class_bits(rs: RuleSet) -> dict[str, int]:
 
 
 def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
-                 dedup: bool) -> list[tuple[_Plans, int]]:
-    """The rule set cut into blocks: each block's plan cache and its classes.
+                 dedup: bool) -> list[tuple[_Plans, int, bool]]:
+    """The rule set cut into blocks: each block's plan cache, its classes, and
+    whether a word whose fold key is its own needs a dedup set in the block.
 
     A block's plan for a word lists, in order, the block's rules that change
     a class the word holds and, with strict_multi, find a source of every
     pair. With dedup it leaves out and counts each copy: a rule that agrees,
-    on every class the word holds, with an earlier rule that applies. Two
-    rules give one output on a word exactly when they agree so, and then they
-    share a change; so each earlier rule that shares a change with a rule of
-    the block is a witness, and the block's classes hold the witnesses'
-    classes too. The plans thus prove every copy within a word.
+    on every class the word holds, with an earlier rule that applies and
+    whose classes lie in the block. Two rules give one output on a word
+    exactly when they agree so, and then they share a change; so each earlier
+    rule that shares a change with a rule of the block is a witness, and its
+    classes join the block's when they fit in _BLOCK_CLASSES. A witness that
+    does not fit is left out: its block and the block of each copy it misses
+    then need the set.
     """
     # per rule: (claimed classes, changed classes, (class, replacement) for
     # each changed class, claimed classes per pair when strict_multi applies)
@@ -168,23 +171,39 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
         for c in changes:
             by_change.setdefault(c, []).append(i)
 
-    def block(start: int, stop: int, mask: int) -> tuple[_Plans, int]:
-        witnesses = sorted(j for j in set().union(*twins[start:stop]) if j < start)
-        entries = [(facts[j], None) for j in witnesses]
-        entries += [(facts[i], compiled[i]) for i in range(start, stop)]
-        return _Plans(entries, dedup), mask
-
-    blocks = []
+    cuts = []
     start = mask = 0
     for i, (claim, *_) in enumerate(facts):
+        whole = claim
         for j in twins[i]:
-            claim |= facts[j][0]
-        if i > start and (mask | claim).bit_count() > _BLOCK_CLASSES:
-            blocks.append(block(start, i, mask))
+            whole |= facts[j][0]
+        # a rule whose witnesses do not fit cuts a block for its own classes
+        if whole.bit_count() > _BLOCK_CLASSES:
+            whole = claim
+        if i > start and (mask | whole).bit_count() > _BLOCK_CLASSES:
+            cuts.append((start, i, mask))
             start, mask = i, 0
-        mask |= claim
+        mask |= whole
     if facts:
-        blocks.append(block(start, len(facts), mask))
+        cuts.append((start, len(facts), mask))
+
+    # a block's witnesses are the earlier rules sharing a change with one of
+    # its rules whose classes lie in the block; the others are left out
+    found = []
+    left_out: set[int] = set()
+    for start, stop, mask in cuts:
+        outer = {j for i in range(start, stop) for j in twins[i] if j < start}
+        inside = sorted(j for j in outer if not facts[j][0] & ~mask)
+        found.append((start, stop, mask, inside, len(inside) < len(outer)))
+        left_out.update(outer.difference(inside))
+    blocks = []
+    for start, stop, mask, inside, missing in found:
+        entries = [(facts[j], None) for j in inside]
+        entries += [(facts[i], compiled[i]) for i in range(start, stop)]
+        # the set holds the outputs of a left-out witness, for the copies a
+        # block that misses it cannot prove
+        needs_set = missing or not left_out.isdisjoint(range(start, stop))
+        blocks.append((_Plans(entries, dedup), mask, needs_set))
     return blocks
 
 
@@ -192,10 +211,11 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                 dedup: bool, stats: GenStats) -> Iterator[CandidateRecord]:
     # Candidates and dedup keys are UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
-    # as the strings would, in less memory per entry. The plans prove every
-    # copy within a word, so only words that share a fold key dedup in a set,
-    # one per key (see generate). The mangle loop pops each word's entry, so
-    # a key's set is freed once its last word has run its rules.
+    # as the strings would, in less memory per entry. Words that share a
+    # fold key dedup in one set per key (see generate); the mangle loop pops
+    # each word's entry, so a key's set is freed once its last word has run
+    # its rules. Any other word dedups in no set where its plans prove every
+    # copy, and in `own`, cleared for each word, in the blocks they do not.
     words = wl.words
     word_sets = _dedup_sets(words, rs.fold) if dedup else [None] * len(words)
     if include_base:
@@ -212,18 +232,23 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
     next_set = word_sets.pop
     bits = _class_bits(rs)
     class_of = bits.get
-    blocks = _plan_blocks(rs, bits, strict_multi, dedup)
+    own: set[bytes] = set()
+    blocks = [(plans, mask, own if needs_set else None)
+              for plans, mask, needs_set in _plan_blocks(rs, bits, strict_multi, dedup)]
     by_arity = stats.by_arity
     for word in words:
-        seen = next_set()
+        word_set = next_set()
+        if own:
+            own.clear()
         wb = word.encode("utf-8", "surrogatepass")
         key = 0
         for ch in word:
             key |= class_of(ch, 0)
-        for plans, mask in blocks:
+        for plans, mask, block_set in blocks:
             run, copies = plans[key & mask]
             if copies:
                 stats.suppressed_duplicates += copies
+            seen = word_set if word_set is not None else block_set
             # every rule in the plan changes the word
             for rule_id, arity, byte_table, table in run:
                 if byte_table is not None:
@@ -255,24 +280,26 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     (a and A under the builtin rules, 16 classes in all), and a word's key is
     the set of classes it holds. Two rules give one output on a word exactly
     when they agree on the word's classes. Consecutive rules are cut into
-    blocks whose rules, and the earlier rules that share a change with one
-    of them, claim at most 8 classes; each block keeps one plan per key,
-    built on first use: the rules that change the word, and the number of
-    copies, rules that agree on the word's classes with an earlier rule that
-    applies. Copies count as suppressed with no translate. So the plans
-    suppress every copy within a word. A block keeps at most 256 plans,
-    whatever the word count, unless one rule and the earlier rules sharing
-    a change with it claim more than 8 classes (a custom rule set can); it
-    then keeps one plan per class key its words hold.
+    blocks of at most 8 classes (more only if one rule alone claims more),
+    which also hold the classes of the earlier rules that share a change with
+    a rule of the block wherever these fit; each block keeps one plan per
+    key, so at most 256, built on first use: the
+    rules that change the word, and the number of copies, rules that agree on
+    the word's classes with an earlier rule that applies and whose classes
+    lie in the block. Copies count as suppressed with no translate. So where
+    every such earlier rule fits, as under the builtin rules, the plans
+    suppress every copy within a word. A custom rule set can have one that
+    does not fit: then a word dedups in a set of its own in the blocks that
+    miss it and in the block that holds it.
 
     Across words it stays exact without a set of every candidate.
     RuleSet.fold gives apply_rule(b, r) == p only when b and p have the same
     fold key, casefold().translate(fold); so two different words can emit
     one candidate only if their keys are equal. A mangle never equals its own
     word, and the base words are distinct. So a word whose key no other word
-    shares dedups in no set at all. Words that share a key keep their
-    candidates in one set per key, dropped once the key's last word has run
-    its rules.
+    shares needs no set beyond the one above. Words that share a key keep
+    their candidates in one set per key, dropped once the key's last word has
+    run its rules.
     """
     stats = GenStats()
     return CandidateStream(_candidates(wl, rs, include_base, strict_multi, dedup, stats), stats)

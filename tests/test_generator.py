@@ -314,7 +314,7 @@ def test_generate_matches_ordered_reference_on_mixed_rules():
     for _ in range(40):
         rs = _random_mixed_rules(rng, rng.randint(1, 8))
         paths |= {r.byte_table is None for r in rs}
-        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8)))
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
                  for _ in range(rng.randint(1, 20))]
         words.append("s\udc80e")   # a lone surrogate, as WordList.from_words allows
         _assert_matches_ordered_reference(WordList.from_words(words), rs)
@@ -411,17 +411,19 @@ def _twin_rules(rng, n):
 
 
 def test_generate_plans_are_exact_within_a_word():
-    # A word whose fold key no other word shares dedups in no set, so the
-    # plans alone must suppress every copy within it, also of an earlier
-    # rule that claims classes outside the copying rule's block. Rule sets
-    # of 8-16 rules over 11 letters cut into 2 or more blocks, and most
-    # blocks have a witness that claims a class none of their rules claims.
+    # A word whose fold key no other word shares dedups in no set where its
+    # plans prove every copy, so they must suppress each copy within it, also
+    # of an earlier rule that claims classes outside the copying rule's
+    # block. Rule sets of 8-16 rules over 11 letters cut into 2 or more
+    # blocks of at most 8 classes, and most blocks have a witness that claims
+    # a class none of their rules claims. Where a witness does not fit in 8
+    # classes, the block keeps a dedup set, and some blocks here do.
     rng = random.Random(21)
     alphabet = _TWIN_SOURCES + _TWIN_SOURCES.upper() + "0!@xy"
-    cut = outside = unshared = 0
+    cut = outside = unshared = with_set = without_set = 0
     for _ in range(60):
         rs = _twin_rules(rng, rng.randint(8, 16))
-        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8)))
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
                  for _ in range(25)]
         words += [w.swapcase() for w in words[:3]]   # some words share a key
         wl = WordList.from_words(words)
@@ -430,14 +432,40 @@ def test_generate_plans_are_exact_within_a_word():
         unshared += sum(n == 1 for n in keys.values())
         blocks = _plan_blocks(rs, _class_bits(rs), False, True)
         cut += len(blocks) > 1
-        for plans, _ in blocks:
+        for plans, mask, needs_set in blocks:
+            assert mask.bit_count() <= 8
+            with_set += needs_set
+            without_set += not needs_set
             claimed = 0
             for (claim, *_), record in plans.entries:
                 if record is not None:
                     claimed |= claim
             outside += any(record is None and claim & ~claimed
                            for (claim, *_), record in plans.entries)
-    assert cut == 60 and outside > 120 and unshared > 60 * 20
+    assert cut > 55 and outside > 120 and unshared > 60 * 20
+    assert with_set > 60 and without_set > 120
+
+
+def test_generate_rules_sharing_one_pair_keep_blocks_of_8_classes():
+    # Every rule shares a>@ with all earlier ones, so from R7 on a rule's
+    # witnesses claim more than 8 classes. The blocks are cut on the rules'
+    # own classes, the witnesses outside them are left out, and every block
+    # dedups in a set the words whose fold key is their own.
+    letters = "bcdefghijklmnopqrstuvwxyz"
+    rs = parse_rules("".join(f"R{i}\ta>@,{c}>{i % 10}\n" for i, c in enumerate(letters)))
+    blocks = _plan_blocks(rs, _class_bits(rs), False, True)
+    assert [(mask.bit_count(), needs_set) for _, mask, needs_set in blocks] == \
+        [(8, True), (8, True), (8, True), (5, True)]
+    rng = random.Random(25)
+    alphabet = "a" + letters + "A@0x"
+    words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+             for _ in range(40)]
+    wl = WordList.from_words(words + ["a", "A", "@", "ab", "aB", "?a"])
+    _assert_matches_ordered_reference(wl, rs)
+    # R1..R24 each repeat R0's "?@" on "?a", whose fold key is its own, with
+    # no plan to prove it
+    records, _ = _records(WordList.from_words(["?a"]), rs)
+    assert records == [(b"?@", "?a", "R0")]
 
 
 def test_empty_wordlist_generates_nothing():
