@@ -141,10 +141,11 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
     on every class the word holds, with an earlier rule that applies and
     whose classes lie in the block. Two rules give one output on a word
     exactly when they agree so, and then they share a change; so each earlier
-    rule that shares a change with a rule of the block is a witness, and its
-    classes join the block's when they fit in _BLOCK_CLASSES. A witness that
-    does not fit is left out: its block and the block of each copy it misses
-    then need the set.
+    rule that shares a change with a rule of the block is a witness. Blocks
+    are cut on their rules' classes, and a witness's classes join its block's
+    where they fit in _BLOCK_CLASSES; a witness that does not fit is left
+    out. The set is needed in each block that misses a witness, and in each
+    block that holds one, for the set must have its outputs.
     """
     # per rule: (claimed classes, changed classes, (class, replacement) for
     # each changed class, claimed classes per pair when strict_multi applies)
@@ -174,28 +175,26 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
     cuts = []
     start = mask = 0
     for i, (claim, *_) in enumerate(facts):
-        whole = claim
-        for j in twins[i]:
-            whole |= facts[j][0]
-        # a rule whose witnesses do not fit cuts a block for its own classes
-        if whole.bit_count() > _BLOCK_CLASSES:
-            whole = claim
-        if i > start and (mask | whole).bit_count() > _BLOCK_CLASSES:
+        if i > start and (mask | claim).bit_count() > _BLOCK_CLASSES:
             cuts.append((start, i, mask))
             start, mask = i, 0
-        mask |= whole
+        mask |= claim
     if facts:
         cuts.append((start, len(facts), mask))
 
-    # a block's witnesses are the earlier rules sharing a change with one of
-    # its rules whose classes lie in the block; the others are left out
     found = []
     left_out: set[int] = set()
     for start, stop, mask in cuts:
-        outer = {j for i in range(start, stop) for j in twins[i] if j < start}
-        inside = sorted(j for j in outer if not facts[j][0] & ~mask)
+        outer = sorted({j for i in range(start, stop) for j in twins[i] if j < start})
+        inside = []
+        for j in outer:
+            if (mask | facts[j][0]).bit_count() <= _BLOCK_CLASSES:
+                mask |= facts[j][0]
+                inside.append(j)
+            else:
+                left_out.add(j)
         found.append((start, stop, mask, inside, len(inside) < len(outer)))
-        left_out.update(outer.difference(inside))
+
     blocks = []
     for start, stop, mask, inside, missing in found:
         entries = [(facts[j], None) for j in inside]

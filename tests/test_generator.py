@@ -415,9 +415,10 @@ def test_generate_plans_are_exact_within_a_word():
     # plans prove every copy, so they must suppress each copy within it, also
     # of an earlier rule that claims classes outside the copying rule's
     # block. Rule sets of 8-16 rules over 11 letters cut into 2 or more
-    # blocks of at most 8 classes, and most blocks have a witness that claims
+    # blocks of at most 8 classes, and many blocks have a witness that claims
     # a class none of their rules claims. Where a witness does not fit in 8
-    # classes, the block keeps a dedup set, and some blocks here do.
+    # classes, the blocks that miss it or hold it keep a dedup set: most
+    # blocks here do, and some need none.
     rng = random.Random(21)
     alphabet = _TWIN_SOURCES + _TWIN_SOURCES.upper() + "0!@xy"
     cut = outside = unshared = with_set = without_set = 0
@@ -442,20 +443,20 @@ def test_generate_plans_are_exact_within_a_word():
                     claimed |= claim
             outside += any(record is None and claim & ~claimed
                            for (claim, *_), record in plans.entries)
-    assert cut > 55 and outside > 120 and unshared > 60 * 20
-    assert with_set > 60 and without_set > 120
+    assert cut > 55 and outside > 50 and unshared > 60 * 20
+    assert with_set > 120 and without_set > 30
 
 
 def test_generate_rules_sharing_one_pair_keep_blocks_of_8_classes():
     # Every rule shares a>@ with all earlier ones, so from R7 on a rule's
     # witnesses claim more than 8 classes. The blocks are cut on the rules'
-    # own classes, the witnesses outside them are left out, and every block
-    # dedups in a set the words whose fold key is their own.
+    # own classes, the witnesses that do not fit are left out, and every
+    # block dedups in a set the words whose fold key is their own.
     letters = "bcdefghijklmnopqrstuvwxyz"
     rs = parse_rules("".join(f"R{i}\ta>@,{c}>{i % 10}\n" for i, c in enumerate(letters)))
     blocks = _plan_blocks(rs, _class_bits(rs), False, True)
     assert [(mask.bit_count(), needs_set) for _, mask, needs_set in blocks] == \
-        [(8, True), (8, True), (8, True), (5, True)]
+        [(8, True), (8, True), (8, True), (8, True)]
     rng = random.Random(25)
     alphabet = "a" + letters + "A@0x"
     words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
