@@ -48,11 +48,11 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     differ, the password's elsewhere. A rule that passes its inverse_screen
     takes that shared base when its merge_screen allows: every differing
     pair inverts to the word's character, and the password holds no
-    character the rule both emits and maps to another. Any other rule (a cs
-    rule such as A>4, a chained one such as a>A,A>b) rebuilds its base
-    position by position. A base counts only when re-applying the rule
-    reproduces the password. Findings come in rule order, then dictionary
-    order.
+    character the rule both emits and maps to another. Every other try (a
+    cs rule such as A>4, a chained one such as a>A,A>b, a word differing
+    from the password only in case or not lining up with it) goes to
+    _search_base. A base counts only when re-applying the rule reproduces
+    the password. Findings come in rule order, then dictionary order.
 
     Of the bases that casefold to a word, the one reported takes at each
     position the most preferred preimage of the password's character (see
@@ -92,17 +92,8 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
         replacements, blocking = rule.inverse_screen
         if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
             continue
-        if need:
-            plain, remapped = rule.merge_screen
-            if need <= plain and chars.isdisjoint(remapped):
-                base = merged
-            else:
-                # Each position takes its first preimage with the word's
-                # casefold there; a character no pair emits stays.
-                inverse = rule.fold_inverse
-                base = "".join([inverse.get(c + d, c) for c, d in zip(password, word)])
-                if base == word:
-                    base = word   # share the dictionary's string
+        if need and need <= rule.merge_screen[0] and chars.isdisjoint(rule.merge_screen[1]):
+            base = merged
         else:
             base = _search_base(password, word, rule.fold_preimages)
             if base is None:
@@ -115,9 +106,11 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
 
 def _search_base(password: str, word: str,
                  preimages: dict[str, tuple[tuple[str, str], ...]]) -> str | None:
-    """The base deleet reports for a rule and word, or None, where the
-    password and word need not line up: casefolds may change length
-    (ß -> ss), or the base may differ from the password only in case.
+    """The base deleet reports for a rule and word, or None, wherever the
+    shared base does not serve: the rule may not take it (see
+    ReplacementRule.merge_screen), the base may differ from the password
+    only in case, or the password and word may not line up, since casefolds
+    may change length (ß -> ss).
 
     A search over (position, offset into word, differs from the password
     yet) states; preimages holds the rule's fold_preimages, and any other

@@ -156,27 +156,23 @@ class ReplacementRule(Frozen):
         return table
 
     @cached_property
-    def fold_inverse(self) -> dict[str, str]:
-        """c + f -> the first of fold_preimages[c] whose casefold is f."""
-        table: dict[str, str] = {}
-        for c, options in self.fold_preimages.items():
-            for x, f in options:
-                table.setdefault(c + f, x)
-        return table
-
-    @cached_property
     def merge_screen(self) -> tuple[frozenset[str], frozenset[str]]:
         """(plain pairs, remapped replacements) of the rule.
 
-        The plain pairs are the keys c + f of fold_inverse that invert to f
-        itself. The remapped replacements are the replacement characters the
-        rule turns into another character: b in a>b,b>c, or A in a>A,A>b cs.
-        deleet shares one base across a word's rules; a rule may take it only
-        when every differing pair is plain and the password holds no remapped
-        replacement, since then the rule's own base is that shared one.
+        The plain pairs are the c + f whose first preimage in fold_preimages[c]
+        with casefold f is f itself. The remapped replacements are the
+        replacement characters the rule turns into another character: b in
+        a>b,b>c, or A in a>A,A>b cs. deleet shares one base across a word's
+        rules; a rule may take it only when every differing pair is plain and
+        the password holds no remapped replacement, since then the rule's own
+        base is that shared one.
         """
+        first: dict[str, str] = {}
+        for c, options in self.fold_preimages.items():
+            for x, f in options:
+                first.setdefault(c + f, x)
+        plain = frozenset(q for q, x in first.items() if x == q[1])
         table = self.translation
-        plain = frozenset(q for q, x in self.fold_inverse.items() if x == q[1])
         return plain, frozenset(r for r in table.values() if table.get(ord(r), r) != r)
 
     @cached_property
@@ -186,9 +182,10 @@ class ReplacementRule(Frozen):
         A password can be this rule's output only if it holds a replacement
         character and no blocking character: one the rule replaces that is not
         also a replacement, since no character turns into it. deleet needs it
-        where the password lines up with no bucket word (its casefold changes
-        length, ß -> ss): every rule would go to _search_base there, and the
-        screen keeps 7 of the 67 builtin rules for str@ße against strasse.
+        wherever it would run _search_base: where the password lines up with
+        no bucket word (its casefold changes length, ß -> ss), the screen keeps
+        7 of the 67 builtin rules for str@ße against strasse, and on an aligned
+        word it spares the search for a rule the shared base does not serve.
         """
         replacements = frozenset(p.replacement for p in self.pairs)
         return replacements, frozenset(map(chr, self.translation)) - replacements

@@ -7,6 +7,7 @@ the reference implementations in oracles.py, never from the library itself.
 
 from __future__ import annotations
 
+import json
 import random
 import string
 import subprocess
@@ -247,27 +248,36 @@ def test_hashcat_export_equivalence():
 
 
 def test_determinism(tmp_path):
-    """gen and crack write byte-identical output under two string hash seeds."""
+    """gen, crack and detect write byte-identical output under two string hash seeds."""
     start = time.perf_counter()
     words, hash_text, _, _ = planted_corpus(3000, 300, 300)
     # case variants, shared mangles and non-ASCII words give dedup work to do
-    words += ["password", "Password", "p@ssword", "pa55word", "caf\u00e9", "Stra\u00dfe"]
+    words += ["password", "Password", "p@ssword", "pa55word", "caf\u00e9", "Stra\u00dfe",
+              "pass", "ao"]
     wordlist = tmp_path / "words.txt"
     wordlist.write_text("\n".join(words) + "\n", encoding="utf-8")
     hashes = tmp_path / "hashes.txt"
     hashes.write_text(hash_text + md5_reference(b"p@ssw0rd").hex() + "\n")
+    # a cs rule and a chained one send detect to the base search
+    rules = tmp_path / "detect.rules"
+    rules.write_text("cs\tA>4\tcs\nchain\ta>A,A>b,o>0\tcs\nat\ta>@,s>$\n", encoding="utf-8")
+    passwords = "".join(pw + "\n" for pw in
+                        ["p4ss", "P4SS", "A0", "b0", "p@$$", "p@ssw0rd", "PA$$WORD",
+                         "$tr@\u00dfe", "caf\u00e9", "4bc", words[0], "0" + words[1][1:]])
     runs = []
     for seed in ("1", "2"):
         out = tmp_path / f"seed{seed}"
         out.mkdir()
         env = {**cli_env(), "PYTHONHASHSEED": seed}
         stdout = []
-        for argv in (["gen", "-w", wordlist, "--include-base",
-                      "--provenance", out / "prov.tsv"],
-                     ["crack", "--hashes", hashes, "-w", wordlist,
-                      "--potfile", out / "out.pot"]):
+        for argv, stdin in ((["gen", "-w", wordlist, "--include-base",
+                              "--provenance", out / "prov.tsv"], None),
+                            (["crack", "--hashes", hashes, "-w", wordlist,
+                              "--potfile", out / "out.pot"], None),
+                            (["detect", "--dict", wordlist, "-r", rules, "--stdin"],
+                             passwords.encode("utf-8"))):
             proc = subprocess.run([sys.executable, "-m", "leetforge.cli", *map(str, argv)],
-                                  env=env, capture_output=True, check=True)
+                                  env=env, input=stdin, capture_output=True, check=True)
             stdout.append(proc.stdout)
         files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
         assert set(files) == {"prov.tsv", "out.pot"}
@@ -275,9 +285,14 @@ def test_determinism(tmp_path):
     assert runs[0] == runs[1]
     potfile = runs[0][1]["out.pot"].decode("utf-8").splitlines()
     assert len(potfile) == 601   # 300 plain + 300 mangled plants + p@ssw0rd
+    detected = [json.loads(line) for line in runs[0][0][2].decode("utf-8").splitlines()]
+    assert len(detected) == 12
+    assert {"base_word": "pAss", "rule_id": "cs"} in detected[0]["findings"]
+    assert {"base_word": "ao", "rule_id": "chain"} in detected[2]["findings"]
+    assert {"base_word": "stra\u00dfe", "rule_id": "at"} in detected[7]["findings"]
     elapsed = time.perf_counter() - start
-    _report("determinism",
-            f"gen and crack byte-identical under PYTHONHASHSEED 1 and 2 in {elapsed:.2f} s")
+    _report("determinism", f"gen, crack and detect byte-identical under PYTHONHASHSEED "
+                           f"1 and 2 in {elapsed:.2f} s")
 
 
 def test_runtime_is_stdlib_only():

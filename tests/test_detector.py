@@ -66,9 +66,10 @@ def test_deleet_inverts_case_sensitive_uppercase_source():
 
 
 def test_deleet_rebuilds_the_base_where_the_password_holds_a_remapped_replacement():
-    # The per-rule base of A0 is ao: the A comes from a. Keeping the
-    # password's A where the casefolds agree would give Ao, which re-applies
-    # to b0, since the rule also turns A into b.
+    # The per-rule base of A0 is ao: the A comes from a. The shared base keeps
+    # the password's A where the casefolds agree and would give Ao, which
+    # re-applies to b0, since the rule also turns A into b; merge_screen
+    # refuses it, so _search_base builds ao.
     rs = parse_rules("X\ta>A,A>b,o>0\tcs\n")
     assert rs[0].merge_screen[1] == {"A"}
     assert apply_rule("ao", rs[0]) == "A0" and apply_rule("Ao", rs[0]) == "b0"
@@ -106,7 +107,8 @@ def test_deleet_and_audit_match_unscreened_reference():
     rng = random.Random(33)
     named = parse_rules("chain\ta>b,b>c\nshared\ta>1,i>1\nupper\tA>4,B>8\tcs\n"
                         "fold\tA>a\nwide\t\u00e9>\u20ac,\u00c9>e\tcs\n"
-                        "sharp\t\u00df>s\tcs\ndotted\t\u0130>1\tcs\nlig\t\ufb01>f\tcs\n")
+                        "sharp\t\u00df>s\tcs\ndotted\t\u0130>1\tcs\nlig\t\ufb01>f\tcs\n"
+                        "micro\t\u00b5>1,\u03bc>1\tcs\n")
     found = 0
     for rs in [RS, named] + [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
         # words and passwords from the rules' own characters, plus forward mangles
@@ -123,6 +125,9 @@ def test_deleet_and_audit_match_unscreened_reference():
     assert found > 5000
     assert deleet("cb", named, WordList.from_words(["BA"])) == [("ba", "chain")]
     assert deleet("ab", named, WordList.from_words(["ab"])) == [("Ab", "fold")]
+    # µ (U+00B5) casefolds to μ (U+03BC) and ranks before it as a preimage of
+    # 1, so the shared base μa verifies but is not the reported base
+    assert deleet("1a", named, WordList.from_words(["\u03bca"])) == [("\u00b5a", "micro")]
 
 
 def test_inverse_screen_spares_search_where_casefold_changes_length(monkeypatch):
@@ -144,6 +149,37 @@ def test_inverse_screen_spares_search_where_casefold_changes_length(monkeypatch)
         deleet(pw, RS, WordList.from_words([word]))
         may_produce = sum(1 for r in RS if set(pw) & {p.replacement for p in r.pairs})
         assert 0 < len(calls) <= may_produce
+
+
+def test_builtin_mangles_take_the_shared_base(monkeypatch):
+    # Every builtin rule may take the shared base wherever a word lines up, so
+    # auditing their mangles of lowercase words never runs _search_base.
+    for rule in RS:
+        plain, remapped = rule.merge_screen
+        assert not remapped
+        assert {p.replacement + p.source.casefold() for p in rule.pairs} <= plain
+    calls = []
+    search = detector._search_base
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(detector, "_search_base", counting)
+    rng = random.Random(35)
+    words = ["".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 8)))
+             for _ in range(300)]
+    dictionary = WordList.from_words(words)
+    found = 0
+    for word in words:
+        for rule in RS:
+            mangled = apply_rule(word, rule)
+            if mangled is not None:
+                findings = deleet(mangled, RS, dictionary)
+                assert (word, rule.id) in findings
+                found += len(findings)
+    assert found > 1000
+    assert calls == []
 
 
 def test_deleet_verification_is_sound():
