@@ -41,18 +41,21 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
 
     Only the password's bucket in the dictionary's fold index (see
     RuleSet.fold) can hold a base; when it is empty no rule is tried. Where a
-    bucket word and the password line up, the rules tried for the word are
-    those that turn every differing character of the word into the
-    password's (RuleSet.rules_by_fold_pair). When there are any, one shared
-    base is built for the word: the word's character where the casefolds
-    differ, the password's elsewhere. A rule that passes its inverse_screen
-    takes that shared base when its merge_screen allows: every differing
-    pair inverts to the word's character, and the password holds no
-    character the rule both emits and maps to another. Every other try (a
-    cs rule such as A>4, a chained one such as a>A,A>b, a word differing
-    from the password only in case or not lining up with it) goes to
-    _search_base. A base counts only when re-applying the rule reproduces
-    the password. Findings come in rule order, then dictionary order.
+    bucket word and the password line up, the pairs where they differ (the
+    need) pick the word's rules from RuleSet.rules_by_need: those that turn
+    every differing character of the word into the password's. When there
+    are any, one shared base is built for the word: the word's character
+    where the casefolds differ, the password's elsewhere. A rule in the
+    need's shared list takes it when the password holds none of the rule's
+    stop characters: no blocking character of its inverse_screen, and none
+    its merge_screen calls remapped. Every other try (a cs rule such as
+    A>4, a chained one such as a>A,A>b, a word differing from the password
+    only in case or not lining up with it) passes the rule's inverse_screen
+    and goes to _search_base. A base counts only when re-applying the rule
+    reproduces the password: through the rule's byte_table on the
+    password's UTF-8 bytes (surrogatepass) when it has one, through
+    str.translate otherwise. Findings come in rule order, then dictionary
+    order.
 
     Of the bases that casefold to a word, the one reported takes at each
     position the most preferred preimage of the password's character (see
@@ -64,42 +67,50 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     bucket = dictionary.fold_index(fold).get(folded.translate(fold))
     if bucket is None:
         return []
+    chars = set(password)
     by_pair = rs.rules_by_fold_pair
-    tries = []
+    by_need = rs.rules_by_need
+    tries = []   # (rule index, word, the shared base or None to search)
     for word in (bucket,) if isinstance(bucket, str) else bucket:
         if len(word) == len(password) == len(folded):
             need = {c + d for c, e, d in zip(password, folded, word) if e != d}
             if need:
-                rules = frozenset.intersection(*[by_pair.get(q, frozenset()) for q in need])
-                if not rules:
+                entry = by_need.get(frozenset(need))
+                if entry is None:
                     continue
+                shared, rest = entry
                 # the word's character where the casefolds differ, the password's elsewhere
                 merged = "".join([d if e != d else c for c, e, d in zip(password, folded, word)])
                 if merged == word:
                     merged = word   # share the dictionary's string
-            else:   # the base differs only in case, by a character the rule changes
-                rules = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
-                merged = None
+                tries += [(i, word, merged if chars.isdisjoint(stops) else None)
+                          for i, stops in shared]
+                tries += [(i, word, None) for i in rest]
+                continue
+            # the base differs only in case, by a character the rule changes
+            rules = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
         else:
-            need, rules, merged = None, range(len(rs)), None
-        tries += [(i, word, need, merged) for i in rules]
+            rules = range(len(rs))
+        tries += [(i, word, None) for i in rules]
     tries.sort(key=itemgetter(0))
-    chars = set(password)
+    encoded = password.encode("utf-8", "surrogatepass")
     rules = rs.rules
     findings = []
-    for i, word, need, merged in tries:
+    for i, word, base in tries:
         rule = rules[i]
-        replacements, blocking = rule.inverse_screen
-        if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
-            continue
-        if need and need <= rule.merge_screen[0] and chars.isdisjoint(rule.merge_screen[1]):
-            base = merged
-        else:
+        if base is None:
+            replacements, blocking = rule.inverse_screen
+            if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
+                continue
             base = _search_base(password, word, rule.fold_preimages)
             if base is None:
                 continue
-        out = base.translate(rule.translation)
-        if out == password and out != base:   # apply_rule(base, rule) == password
+        table = rule.byte_table
+        if table is None:
+            reproduced = base.translate(rule.translation) == password
+        else:   # ASCII pairs: one pass over the UTF-8 bytes, as generate applies them
+            reproduced = base.encode("utf-8", "surrogatepass").translate(table) == encoded
+        if reproduced and base != password:   # apply_rule(base, rule) == password
             findings.append(Finding(base, rule.id))
     return findings
 

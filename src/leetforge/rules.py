@@ -11,6 +11,7 @@ additionally exposed as the "top5" subset.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from ._value import Frozen
@@ -298,6 +299,43 @@ class RuleSet(Frozen):
                     if x != c:
                         table.setdefault(c + f, set()).add(i)
         return {pair: frozenset(ids) for pair, ids in table.items()}
+
+    @cached_property
+    def rules_by_need(self) -> dict[frozenset[str], tuple[tuple[tuple[int, frozenset[str]], ...],
+                                                          tuple[int, ...]]]:
+        """need -> (shared, rest): the rules that can turn a word into a
+        password where they differ by exactly the fold pairs in need.
+
+        A need is a non-empty set of c + f keys of rules_by_fold_pair, and
+        its rules are those under every key. shared holds (index, stop
+        characters) for each rule whose merge_screen calls every pair of the
+        need plain: a password holding none of its stop characters (the
+        rule's blocking and remapped replacement characters) takes deleet's
+        shared base. rest holds the other rules' indexes. Both are in rule
+        order. Only needs some rule can make are keys: at most 2^k - 1 for a
+        rule with k fold pairs (63 for 6), 81 in all under the builtin rules.
+        The table's size depends on the rule set, never on the passwords
+        audited.
+        """
+        own: list[list[str]] = [[] for _ in self.rules]
+        for pair, ids in self.rules_by_fold_pair.items():
+            for i in ids:
+                own[i].append(pair)
+        needs = dict.fromkeys(frozenset(need) for pairs in own
+                              for k in range(1, len(pairs) + 1)
+                              for need in combinations(pairs, k))
+        table = {}
+        for need in needs:
+            shared, rest = [], []
+            for i in sorted(frozenset.intersection(*[self.rules_by_fold_pair[q] for q in need])):
+                rule = self.rules[i]
+                plain, remapped = rule.merge_screen
+                if need <= plain:
+                    shared.append((i, rule.inverse_screen[1] | remapped))
+                else:
+                    rest.append(i)
+            table[need] = (tuple(shared), tuple(rest))
+        return table
 
     @cached_property
     def singles(self) -> "RuleSet":

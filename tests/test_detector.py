@@ -128,6 +128,44 @@ def test_deleet_and_audit_match_unscreened_reference():
     # µ (U+00B5) casefolds to μ (U+03BC) and ranks before it as a preimage of
     # 1, so the shared base μa verifies but is not the reported base
     assert deleet("1a", named, WordList.from_words(["\u03bca"])) == [("\u00b5a", "micro")]
+    # ASCII rules re-applied through their byte tables to bases holding a
+    # lone surrogate or a multi-byte character
+    for pw, base, rule_id in [("\ud800p@ss", "\ud800pass", "S5"), ("c@f\u00e9", "caf\u00e9", "S5"),
+                              ("p\u00e455", "p\u00e4ss", "S36")]:
+        assert RS.by_id(rule_id).byte_table is not None
+        assert (base, rule_id) in audit(pw, RS, WordList.from_words([base])).findings
+        assert _audit_as_reference(pw, RS, [base]) >= 1
+
+
+def test_rules_by_need_is_bounded_by_the_rule_set():
+    # keys are the non-empty subsets of each rule's fold pairs, and no audit adds one
+    rng = random.Random(36)
+    assert len(RS.rules_by_need) == 81
+    for rs in [RS] + [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
+        own = [{q for q, ids in rs.rules_by_fold_pair.items() if i in ids} for i in range(len(rs))]
+        table = rs.rules_by_need
+        assert len(table) <= sum(2 ** len(pairs) - 1 for pairs in own)
+        for need, (shared, rest) in table.items():
+            assert need and any(need <= pairs for pairs in own)
+            ids = [i for i, _ in shared] + list(rest)
+            assert ids and sorted(ids) == [i for i, pairs in enumerate(own) if need <= pairs]
+            assert [i for i, _ in shared] == sorted(i for i in ids if need <= rs[i].merge_screen[0])
+            assert list(rest) == sorted(rest)
+        size = len(table)
+        chars = sorted({c for r in rs for p in r.pairs for c in (p.source, p.replacement)})
+        dictionary = WordList.from_words(["".join(rng.choices(chars, k=3)) for _ in range(5)])
+        for _ in range(10):
+            audit("".join(rng.choices(chars, k=3)), rs, dictionary)
+        assert rs.rules_by_need is table and len(table) == size
+    size = len(RS.rules_by_need)
+    words = ["".join(rng.choices("abeilos", k=rng.randint(3, 6))) for _ in range(500)]
+    dictionary = WordList.from_words(words)
+    found = 0
+    for _ in range(2000):
+        found += len(audit("".join(rng.choices("abeilos01@3$!5", k=rng.randint(3, 6))),
+                           RS, dictionary).findings)
+    assert found > 100
+    assert len(RS.rules_by_need) == size
 
 
 def test_inverse_screen_spares_search_where_casefold_changes_length(monkeypatch):
