@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -42,25 +43,24 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     Only the password's bucket in the dictionary's fold index (see
     RuleSet.fold) can hold a base; when it is empty no rule is tried. Where a
     bucket word and the password line up, the pairs where they differ (the
-    need) pick the word's rules from RuleSet.rules_by_need: those that turn
-    every differing character of the word into the password's. When there
-    are any, one shared base is built for the word: the word's character
-    where the casefolds differ, the password's elsewhere. A rule in the
-    need's shared list takes it when the password holds none of the rule's
-    stop characters: no blocking character of its inverse_screen, and none
-    its merge_screen calls remapped. Every other try (a cs rule such as
-    A>4, a chained one such as a>A,A>b, a word differing from the password
-    only in case or not lining up with it) passes the rule's inverse_screen
-    and goes to _search_base. A base counts only when re-applying the rule
-    reproduces the password: through the rule's byte_table on the
-    password's UTF-8 bytes (surrogatepass) when it has one, through
-    str.translate otherwise. Findings come in rule order, then dictionary
-    order.
+    need) pick the word's rules from _inverse's by_need table: those that
+    turn every differing character of the word into the password's. When
+    there are any, one shared base is built for the word: the word's
+    character where the casefolds differ, the password's elsewhere. A rule in
+    the need's shared list takes it when the password holds none of the
+    rule's stop characters. Every other try (a cs rule such as A>4, a chained
+    one such as a>A,A>b, a word differing from the password only in case or
+    not lining up with it) goes to _search_base, if the password holds one of
+    the rule's replacement characters and none of its blocking characters. A
+    base counts only when re-applying the rule reproduces the password:
+    through the rule's byte_table on the password's UTF-8 bytes
+    (surrogatepass) when it has one, through str.translate otherwise.
+    Findings come in rule order, then dictionary order.
 
     Of the bases that casefold to a word, the one reported takes at each
     position the most preferred preimage of the password's character (see
-    ReplacementRule.fold_preimages), the first position deciding: the
-    password's own character, then a lowercase source, then other cases.
+    _inverse), the first position deciding: the password's own character,
+    then a lowercase source, then other cases.
     """
     fold = rs.fold
     folded = password.casefold()
@@ -68,8 +68,7 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     if bucket is None:
         return []
     chars = set(password)
-    by_pair = rs.rules_by_fold_pair
-    by_need = rs.rules_by_need
+    rules, by_pair, by_need = _inverse(rs)
     tries = []   # (rule index, word, the shared base or None to search)
     for word in (bucket,) if isinstance(bucket, str) else bucket:
         if len(word) == len(password) == len(folded):
@@ -88,44 +87,114 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
                 tries += [(i, word, None) for i in rest]
                 continue
             # the base differs only in case, by a character the rule changes
-            rules = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
+            ids = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
         else:
-            rules = range(len(rs))
-        tries += [(i, word, None) for i in rules]
+            ids = range(len(rules))
+        tries += [(i, word, None) for i in ids]
     tries.sort(key=itemgetter(0))
     encoded = password.encode("utf-8", "surrogatepass")
-    rules = rs.rules
     findings = []
     for i, word, base in tries:
-        rule = rules[i]
+        rule_id, translation, table, replacements, blocking, preimages = rules[i]
         if base is None:
-            replacements, blocking = rule.inverse_screen
             if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
                 continue
-            base = _search_base(password, word, rule.fold_preimages)
+            base = _search_base(password, word, preimages)
             if base is None:
                 continue
-        table = rule.byte_table
         if table is None:
-            reproduced = base.translate(rule.translation) == password
+            reproduced = base.translate(translation) == password
         else:   # ASCII pairs: one pass over the UTF-8 bytes, as generate applies them
             reproduced = base.encode("utf-8", "surrogatepass").translate(table) == encoded
         if reproduced and base != password:   # apply_rule(base, rule) == password
-            findings.append(Finding(base, rule.id))
+            findings.append(Finding(base, rule_id))
     return findings
+
+
+def _inverse(rs: RuleSet) -> tuple[tuple[tuple, ...], dict[str, frozenset[int]],
+                                   dict[frozenset[str], tuple[tuple, tuple[int, ...]]]]:
+    """(rules, by_pair, by_need): deleet's tables for rs, built on the first
+    call and kept in rs.__dict__, where functools.cached_property keeps its
+    values; ==, hash and repr read only the fields. Threads racing on the
+    first call may each build them; the results are equal.
+
+    rules[i] is rule i's (id, translation, byte_table, replacement characters,
+    blocking characters, preimages). A blocking character is one the rule
+    replaces that is not also a replacement: no character turns into it, so a
+    password holding it is not the rule's output. preimages maps each
+    replacement character c to the characters the rule turns into c, plus c
+    itself when the rule leaves c alone, each with its casefold. c itself
+    comes first, then lowercase before other cases, then by code point: a
+    case-insensitive pair inverts to source.lower() when it replaces that
+    character, a case-sensitive or titlecase source (U+01C5, whose swapcase
+    is itself) to the source as written.
+
+    by_pair maps c + f to the indexes of the rules that turn a character
+    other than c whose casefold is f into c: where a base casefolding to f
+    stands under c in the password, only these rules can have made it.
+
+    by_need maps a need, a non-empty set of by_pair keys, to (shared, rest):
+    the rules under every key of the need, in rule order. A rule is shared,
+    as (index, stop characters), when its first preimage of c with casefold
+    f is f for every c + f of the need; then, unless the password holds a
+    stop character, its own base is deleet's shared one. The stop characters
+    are the rule's blocking characters and its remapped replacements, those
+    the rule turns into another character (b in a>b,b>c, A in a>A,A>b cs).
+    rest holds the other rules' indexes. Only needs some rule can make are
+    keys: at most 2^k - 1 for a rule with k fold pairs (63 for 6), 81 in all
+    under the builtin rules, whatever the passwords audited.
+    """
+    tables = rs.__dict__.get("_inverse")
+    if tables is not None:
+        return tables
+    rules, by_pair, own, plain, stops = [], {}, [], [], []
+    for i, rule in enumerate(rs):
+        translation = rule.translation
+        sources: dict[str, list[str]] = {}
+        for code, replacement in translation.items():
+            sources.setdefault(replacement, []).append(chr(code))
+        preimages, first = {}, {}
+        for c, xs in sources.items():
+            if ord(c) not in translation:
+                xs.append(c)
+            xs.sort(key=lambda x: (x != c, x != x.lower(), x))
+            preimages[c] = tuple((x, x.casefold()) for x in xs)
+            for x, f in preimages[c]:
+                first.setdefault(c + f, x == f)
+                if x != c:
+                    by_pair.setdefault(c + f, set()).add(i)
+        replacements = frozenset(p.replacement for p in rule.pairs)
+        blocking = frozenset(map(chr, translation)) - replacements
+        remapped = {r for r in translation.values() if translation.get(ord(r), r) != r}
+        rules.append((rule.id, translation, rule.byte_table, replacements, blocking, preimages))
+        own.append(list(dict.fromkeys(c + f for c, options in preimages.items()
+                                      for x, f in options if x != c)))
+        plain.append({q for q, is_plain in first.items() if is_plain})
+        stops.append(blocking | remapped)
+    by_need = {}
+    for pairs in own:
+        for k in range(1, len(pairs) + 1):
+            for need in map(frozenset, combinations(pairs, k)):
+                if need not in by_need:
+                    ids = sorted(set.intersection(*[by_pair[q] for q in need]))
+                    by_need[need] = (tuple((i, stops[i]) for i in ids if need <= plain[i]),
+                                     tuple(i for i in ids if not need <= plain[i]))
+    tables = (tuple(rules), {q: frozenset(ids) for q, ids in by_pair.items()}, by_need)
+    rs.__dict__["_inverse"] = tables
+    return tables
 
 
 def _search_base(password: str, word: str,
                  preimages: dict[str, tuple[tuple[str, str], ...]]) -> str | None:
     """The base deleet reports for a rule and word, or None, wherever the
-    shared base does not serve: the rule may not take it (see
-    ReplacementRule.merge_screen), the base may differ from the password
-    only in case, or the password and word may not line up, since casefolds
-    may change length (ß -> ss).
+    shared base does not serve: the rule may not take it (see _inverse's
+    by_need), the base may differ from the password only in case, or the
+    password and word may not line up, since casefolds may change length
+    (ß -> ss).
 
     A search over (position, offset into word, differs from the password
-    yet) states; preimages holds the rule's fold_preimages, and any other
-    character is its own only preimage.
+    yet) states; preimages holds the rule's preimages from _inverse, and any
+    other character is its own only preimage.
     """
     n, m = len(password), len(word)
     options = [preimages.get(c) or ((c, c.casefold()),) for c in password]

@@ -11,7 +11,6 @@ additionally exposed as the "top5" subset.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterator
 
 from ._value import Frozen
@@ -135,63 +134,6 @@ class ReplacementRule(Frozen):
         return table
 
     @cached_property
-    def fold_preimages(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Each replacement character mapped to its preimages, with their casefolds.
-
-        The preimages are the characters the rule turns into it, plus the
-        character itself when the rule leaves it alone. The character itself
-        comes first, then lowercase before other cases, then by code point:
-        a case-insensitive pair inverts to source.lower() when it replaces
-        that character, a case-sensitive or titlecase source (U+01C5, whose
-        swapcase is itself) to the source as written.
-        """
-        sources: dict[str, list[str]] = {}
-        for code, replacement in self.translation.items():
-            sources.setdefault(replacement, []).append(chr(code))
-        table = {}
-        for replacement, chars in sources.items():
-            if ord(replacement) not in self.translation:
-                chars.append(replacement)
-            chars.sort(key=lambda ch: (ch != replacement, ch != ch.lower(), ch))
-            table[replacement] = tuple((ch, ch.casefold()) for ch in chars)
-        return table
-
-    @cached_property
-    def merge_screen(self) -> tuple[frozenset[str], frozenset[str]]:
-        """(plain pairs, remapped replacements) of the rule.
-
-        The plain pairs are the c + f whose first preimage in fold_preimages[c]
-        with casefold f is f itself. The remapped replacements are the
-        replacement characters the rule turns into another character: b in
-        a>b,b>c, or A in a>A,A>b cs. deleet shares one base across a word's
-        rules; a rule may take it only when every differing pair is plain and
-        the password holds no remapped replacement, since then the rule's own
-        base is that shared one.
-        """
-        first: dict[str, str] = {}
-        for c, options in self.fold_preimages.items():
-            for x, f in options:
-                first.setdefault(c + f, x)
-        plain = frozenset(q for q, x in first.items() if x == q[1])
-        table = self.translation
-        return plain, frozenset(r for r in table.values() if table.get(ord(r), r) != r)
-
-    @cached_property
-    def inverse_screen(self) -> tuple[frozenset[str], frozenset[str]]:
-        """(replacement characters, blocking characters) of the rule.
-
-        A password can be this rule's output only if it holds a replacement
-        character and no blocking character: one the rule replaces that is not
-        also a replacement, since no character turns into it. deleet needs it
-        wherever it would run _search_base: where the password lines up with
-        no bucket word (its casefold changes length, ß -> ss), the screen keeps
-        7 of the 67 builtin rules for str@ße against strasse, and on an aligned
-        word it spares the search for a rule the shared base does not serve.
-        """
-        replacements = frozenset(p.replacement for p in self.pairs)
-        return replacements, frozenset(map(chr, self.translation)) - replacements
-
-    @cached_property
     def byte_table(self) -> bytes | None:
         """bytes.translate table doing translation's work on UTF-8 text.
 
@@ -285,56 +227,6 @@ class RuleSet(Frozen):
                 table[ord(ch)] = None
             elif root != ch:
                 table[ord(ch)] = ord(root)
-        return table
-
-    @cached_property
-    def rules_by_fold_pair(self) -> dict[str, frozenset[int]]:
-        """c + f -> the indexes of the rules that turn a character other than
-        c whose casefold is f into c: where a base casefolding to f stands
-        under c in the password, only these rules can have made it."""
-        table: dict[str, set[int]] = {}
-        for i, rule in enumerate(self.rules):
-            for c, options in rule.fold_preimages.items():
-                for x, f in options:
-                    if x != c:
-                        table.setdefault(c + f, set()).add(i)
-        return {pair: frozenset(ids) for pair, ids in table.items()}
-
-    @cached_property
-    def rules_by_need(self) -> dict[frozenset[str], tuple[tuple[tuple[int, frozenset[str]], ...],
-                                                          tuple[int, ...]]]:
-        """need -> (shared, rest): the rules that can turn a word into a
-        password where they differ by exactly the fold pairs in need.
-
-        A need is a non-empty set of c + f keys of rules_by_fold_pair, and
-        its rules are those under every key. shared holds (index, stop
-        characters) for each rule whose merge_screen calls every pair of the
-        need plain: a password holding none of its stop characters (the
-        rule's blocking and remapped replacement characters) takes deleet's
-        shared base. rest holds the other rules' indexes. Both are in rule
-        order. Only needs some rule can make are keys: at most 2^k - 1 for a
-        rule with k fold pairs (63 for 6), 81 in all under the builtin rules.
-        The table's size depends on the rule set, never on the passwords
-        audited.
-        """
-        own: list[list[str]] = [[] for _ in self.rules]
-        for pair, ids in self.rules_by_fold_pair.items():
-            for i in ids:
-                own[i].append(pair)
-        needs = dict.fromkeys(frozenset(need) for pairs in own
-                              for k in range(1, len(pairs) + 1)
-                              for need in combinations(pairs, k))
-        table = {}
-        for need in needs:
-            shared, rest = [], []
-            for i in sorted(frozenset.intersection(*[self.rules_by_fold_pair[q] for q in need])):
-                rule = self.rules[i]
-                plain, remapped = rule.merge_screen
-                if need <= plain:
-                    shared.append((i, rule.inverse_screen[1] | remapped))
-                else:
-                    rest.append(i)
-            table[need] = (tuple(shared), tuple(rest))
         return table
 
     @cached_property

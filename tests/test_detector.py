@@ -7,7 +7,7 @@ import string
 import sys
 
 from leetforge import (CharPair, ReplacementRule, RuleSet, WordList, apply_rule, audit,
-                       builtin_rules, deleet, detector, parse_rules)
+                       builtin_rules, deleet, detector, parse_rules, serialize_rules)
 from oracles import audit_reference
 from synthetic import case_noise, random_custom_rules
 
@@ -68,10 +68,11 @@ def test_deleet_inverts_case_sensitive_uppercase_source():
 def test_deleet_rebuilds_the_base_where_the_password_holds_a_remapped_replacement():
     # The per-rule base of A0 is ao: the A comes from a. The shared base keeps
     # the password's A where the casefolds agree and would give Ao, which
-    # re-applies to b0, since the rule also turns A into b; merge_screen
-    # refuses it, so _search_base builds ao.
+    # re-applies to b0, since the rule also turns A into b; A is a stop
+    # character of the rule, so _search_base builds ao.
     rs = parse_rules("X\ta>A,A>b,o>0\tcs\n")
-    assert rs[0].merge_screen[1] == {"A"}
+    [(_, stops)], _ = detector._inverse(rs)[2][frozenset({"0o"})]
+    assert "A" in stops
     assert apply_rule("ao", rs[0]) == "A0" and apply_rule("Ao", rs[0]) == "b0"
     assert deleet("A0", rs, WordList.from_words(["ao"])) == [("ao", "X")]
 
@@ -137,27 +138,34 @@ def test_deleet_and_audit_match_unscreened_reference():
         assert _audit_as_reference(pw, RS, [base]) >= 1
 
 
-def test_rules_by_need_is_bounded_by_the_rule_set():
+def _plain(preimages, pair):
+    """True when the first preimage of pair's character with pair's casefold is that casefold."""
+    c, f = pair[0], pair[1:]
+    return next(x for x, g in preimages[c] if g == f) == f
+
+
+def test_need_table_is_bounded_by_the_rule_set():
     # keys are the non-empty subsets of each rule's fold pairs, and no audit adds one
     rng = random.Random(36)
-    assert len(RS.rules_by_need) == 81
+    assert len(detector._inverse(RS)[2]) == 81
     for rs in [RS] + [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
-        own = [{q for q, ids in rs.rules_by_fold_pair.items() if i in ids} for i in range(len(rs))]
-        table = rs.rules_by_need
+        rules, by_pair, table = detector._inverse(rs)
+        own = [{q for q, ids in by_pair.items() if i in ids} for i in range(len(rs))]
         assert len(table) <= sum(2 ** len(pairs) - 1 for pairs in own)
         for need, (shared, rest) in table.items():
             assert need and any(need <= pairs for pairs in own)
             ids = [i for i, _ in shared] + list(rest)
             assert ids and sorted(ids) == [i for i, pairs in enumerate(own) if need <= pairs]
-            assert [i for i, _ in shared] == sorted(i for i in ids if need <= rs[i].merge_screen[0])
+            assert [i for i, _ in shared] == sorted(
+                i for i in ids if all(_plain(rules[i][5], q) for q in need))
             assert list(rest) == sorted(rest)
         size = len(table)
         chars = sorted({c for r in rs for p in r.pairs for c in (p.source, p.replacement)})
         dictionary = WordList.from_words(["".join(rng.choices(chars, k=3)) for _ in range(5)])
         for _ in range(10):
             audit("".join(rng.choices(chars, k=3)), rs, dictionary)
-        assert rs.rules_by_need is table and len(table) == size
-    size = len(RS.rules_by_need)
+        assert detector._inverse(rs)[2] is table and len(table) == size
+    size = len(detector._inverse(RS)[2])
     words = ["".join(rng.choices("abeilos", k=rng.randint(3, 6))) for _ in range(500)]
     dictionary = WordList.from_words(words)
     found = 0
@@ -165,14 +173,15 @@ def test_rules_by_need_is_bounded_by_the_rule_set():
         found += len(audit("".join(rng.choices("abeilos01@3$!5", k=rng.randint(3, 6))),
                            RS, dictionary).findings)
     assert found > 100
-    assert len(RS.rules_by_need) == size
+    assert len(detector._inverse(RS)[2]) == size
 
 
-def test_inverse_screen_spares_search_where_casefold_changes_length(monkeypatch):
+def test_rule_screen_spares_search_where_casefold_changes_length(monkeypatch):
     # str@ße casefolds to str@sse, which lines up with no bucket word, so each
     # rule deleet tries there runs _search_base. A rule can only produce a
-    # password holding one of its replacement characters; of the 67 builtin
-    # rules, 15 have a replacement in these passwords, and the screen passes fewer.
+    # password holding one of its replacement characters and none of its
+    # blocking ones; of the 67 builtin rules, 15 have a replacement in these
+    # passwords, and deleet's screen on the two passes fewer.
     calls = []
     search = detector._search_base
 
@@ -192,10 +201,10 @@ def test_inverse_screen_spares_search_where_casefold_changes_length(monkeypatch)
 def test_builtin_mangles_take_the_shared_base(monkeypatch):
     # Every builtin rule may take the shared base wherever a word lines up, so
     # auditing their mangles of lowercase words never runs _search_base.
-    for rule in RS:
-        plain, remapped = rule.merge_screen
-        assert not remapped
-        assert {p.replacement + p.source.casefold() for p in rule.pairs} <= plain
+    rules, _, by_need = detector._inverse(RS)
+    for shared, rest in by_need.values():
+        assert shared and not rest
+        assert all(stops == rules[i][4] for i, stops in shared)
     calls = []
     search = detector._search_base
 
@@ -218,6 +227,20 @@ def test_builtin_mangles_take_the_shared_base(monkeypatch):
                 found += len(findings)
     assert found > 1000
     assert calls == []
+
+
+def test_inverse_tables_are_invisible_and_built_once():
+    # deleet keeps its tables in the rule set's __dict__, which ==, hash,
+    # repr and the rule-file format never read
+    rs = parse_rules("X\ta>A,A>b,o>0\tcs\nY\ts>$\n")
+    dictionary = WordList.from_words(["ao", "pass"])
+    assert audit("A0", rs, dictionary).findings == (("ao", "X"),)
+    assert audit("pa$$", rs, dictionary).findings == (("pass", "Y"),)
+    assert audit("PASS", rs, dictionary).findings == (("PASS", "BASE"), ("PaSS", "X"))
+    fresh = RuleSet(rs.rules)
+    assert rs == fresh and hash(rs) == hash(fresh) and repr(rs) == repr(fresh)
+    assert parse_rules(serialize_rules(rs)) == rs
+    assert detector._inverse(rs) is detector._inverse(rs)
 
 
 def test_deleet_verification_is_sound():
