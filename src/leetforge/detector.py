@@ -43,17 +43,17 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     Only the password's bucket in the dictionary's fold index (see
     RuleSet.fold) can hold a base; when it is empty no rule is tried. Where a
     bucket word and the password line up, the pairs where they differ (the
-    need) pick the word's rules from _inverse's by_need table: those that
-    turn every differing character of the word into the password's. When
-    there are any, one shared base is built for the word: the word's
-    character where the casefolds differ, the password's elsewhere. A rule in
-    the need's shared list takes it when the password holds none of the
-    rule's stop characters. Every other try (a cs rule such as A>4, a chained
+    need) pick the word's rules and their stop characters from _inverse's
+    by_need table: those that turn every differing character of the word
+    into the password's. When there are any, one shared base is built for
+    the word: the word's character where the casefolds differ, the
+    password's elsewhere. A rule takes it when the password holds none of
+    its stop characters. Every other try (a cs rule such as A>4, a chained
     one such as a>A,A>b, a word differing from the password only in case or
-    not lining up with it) goes to _search_base, if the password holds one of
-    the rule's replacement characters and none of its blocking characters. A
-    base counts only when re-applying the rule reproduces the password:
-    through the rule's byte_table on the password's UTF-8 bytes
+    not lining up with it) goes to _search_base, if the password holds one
+    of the rule's replacement characters and none of its blocking
+    characters. A base counts only when re-applying the rule reproduces the
+    password: through the rule's byte_table on the password's UTF-8 bytes
     (surrogatepass) when it has one, through str.translate otherwise.
     Findings come in rule order, then dictionary order.
 
@@ -77,14 +77,12 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
                 entry = by_need.get(frozenset(need))
                 if entry is None:
                     continue
-                shared, rest = entry
                 # the word's character where the casefolds differ, the password's elsewhere
                 merged = "".join([d if e != d else c for c, e, d in zip(password, folded, word)])
                 if merged == word:
                     merged = word   # share the dictionary's string
                 tries += [(i, word, merged if chars.isdisjoint(stops) else None)
-                          for i, stops in shared]
-                tries += [(i, word, None) for i in rest]
+                          for i, stops in entry]
                 continue
             # the base differs only in case, by a character the rule changes
             ids = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
@@ -112,7 +110,7 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
 
 
 def _inverse(rs: RuleSet) -> tuple[tuple[tuple, ...], dict[str, frozenset[int]],
-                                   dict[frozenset[str], tuple[tuple, tuple[int, ...]]]]:
+                                   dict[frozenset[str], tuple[tuple[int, frozenset[str]], ...]]]:
     """(rules, by_pair, by_need): deleet's tables for rs, built on the first
     call and kept in rs.__dict__, where functools.cached_property keeps its
     values; ==, hash and repr read only the fields. Threads racing on the
@@ -133,16 +131,17 @@ def _inverse(rs: RuleSet) -> tuple[tuple[tuple, ...], dict[str, frozenset[int]],
     other than c whose casefold is f into c: where a base casefolding to f
     stands under c in the password, only these rules can have made it.
 
-    by_need maps a need, a non-empty set of by_pair keys, to (shared, rest):
-    the rules under every key of the need, in rule order. A rule is shared,
-    as (index, stop characters), when its first preimage of c with casefold
-    f is f for every c + f of the need; then, unless the password holds a
-    stop character, its own base is deleet's shared one. The stop characters
-    are the rule's blocking characters and its remapped replacements, those
-    the rule turns into another character (b in a>b,b>c, A in a>A,A>b cs).
-    rest holds the other rules' indexes. Only needs some rule can make are
-    keys: at most 2^k - 1 for a rule with k fold pairs (63 for 6), 81 in all
-    under the builtin rules, whatever the passwords audited.
+    by_need maps a need, a non-empty set of by_pair keys, to the rules under
+    every key of the need, in rule order, as (index, stop characters). When
+    a rule's first preimage of c with casefold f is f for every c + f of the
+    need, its own base is deleet's shared one unless the password holds a
+    stop character: its stops are the characters it changes (a and b in
+    a>b,b>c, a and A in a>A,A>b cs), since where the casefolds agree the
+    shared base keeps the password's character. Any other rule's stops are
+    its replacement characters: c is one, and a password under the need
+    holds c, so deleet searches for that rule's base. Only needs some rule
+    can make are keys: at most 2^k - 1 for a rule with k fold pairs (63 for
+    6), 81 in all under the builtin rules, whatever the passwords audited.
     """
     tables = rs.__dict__.get("_inverse")
     if tables is not None:
@@ -165,20 +164,19 @@ def _inverse(rs: RuleSet) -> tuple[tuple[tuple, ...], dict[str, frozenset[int]],
                     by_pair.setdefault(c + f, set()).add(i)
         replacements = frozenset(p.replacement for p in rule.pairs)
         blocking = frozenset(map(chr, translation)) - replacements
-        remapped = {r for r in translation.values() if translation.get(ord(r), r) != r}
         rules.append((rule.id, translation, rule.byte_table, replacements, blocking, preimages))
         own.append(list(dict.fromkeys(c + f for c, options in preimages.items()
                                       for x, f in options if x != c)))
         plain.append({q for q, is_plain in first.items() if is_plain})
-        stops.append(blocking | remapped)
+        stops.append(frozenset(chr(k) for k, r in translation.items() if chr(k) != r))
     by_need = {}
     for pairs in own:
         for k in range(1, len(pairs) + 1):
             for need in map(frozenset, combinations(pairs, k)):
                 if need not in by_need:
                     ids = sorted(set.intersection(*[by_pair[q] for q in need]))
-                    by_need[need] = (tuple((i, stops[i]) for i in ids if need <= plain[i]),
-                                     tuple(i for i in ids if not need <= plain[i]))
+                    by_need[need] = tuple((i, stops[i] if need <= plain[i] else rules[i][3])
+                                          for i in ids)
     tables = (tuple(rules), {q: frozenset(ids) for q, ids in by_pair.items()}, by_need)
     rs.__dict__["_inverse"] = tables
     return tables

@@ -77,8 +77,8 @@ def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None]) -> list[set
 
 
 # A block of consecutive rules and its witnesses (see _plan_blocks) claim at
-# most this many character classes, unless one rule alone claims more; so a
-# block caches at most 2 ** 8 plans.
+# most this many character classes (one rule claims at most 6: 3 pairs, 2
+# cases each), so a block caches at most 2 ** 8 plans.
 _BLOCK_CLASSES = 8
 
 
@@ -118,14 +118,14 @@ def _class_bits(rs: RuleSet) -> dict[str, int]:
     """Each character a rule replaces, mapped to the bit of its class.
 
     Characters share a class when every rule treats them alike: the same
-    rules, the same pair in each, the same replacement, and each maps to
+    pair of the same rules (so the same replacement), and each maps to
     itself under the same rules (under E>e, e maps to itself and E does not).
     """
     signatures: dict[str, list] = {}
     for i, rule in enumerate(rs):
         for j, p in enumerate(rule.pairs):
             for ch in _claimed(p, rule.case_insensitive):
-                signatures.setdefault(ch, []).append((i, j, p.replacement, ch == p.replacement))
+                signatures.setdefault(ch, []).append((i, j, ch == p.replacement))
     ids: dict[tuple, int] = {}
     return {ch: 1 << ids.setdefault(tuple(sig), len(ids)) for ch, sig in signatures.items()}
 
@@ -175,7 +175,7 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
     cuts = []
     start = mask = 0
     for i, (claim, *_) in enumerate(facts):
-        if i > start and (mask | claim).bit_count() > _BLOCK_CLASSES:
+        if (mask | claim).bit_count() > _BLOCK_CLASSES:
             cuts.append((start, i, mask))
             start, mask = i, 0
         mask |= claim
@@ -279,17 +279,16 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     (a and A under the builtin rules, 16 classes in all), and a word's key is
     the set of classes it holds. Two rules give one output on a word exactly
     when they agree on the word's classes. Consecutive rules are cut into
-    blocks of at most 8 classes (more only if one rule alone claims more),
-    which also hold the classes of the earlier rules that share a change with
-    a rule of the block wherever these fit; each block keeps one plan per
-    key, so at most 256, built on first use: the
-    rules that change the word, and the number of copies, rules that agree on
-    the word's classes with an earlier rule that applies and whose classes
-    lie in the block. Copies count as suppressed with no translate. So where
-    every such earlier rule fits, as under the builtin rules, the plans
-    suppress every copy within a word. A custom rule set can have one that
-    does not fit: then a word dedups in a set of its own in the blocks that
-    miss it and in the block that holds it.
+    blocks of at most 8 classes, which also hold the classes of the earlier
+    rules that share a change with a rule of the block wherever these fit;
+    each block keeps one plan per key, so at most 256, built on first use:
+    the rules that change the word, and the number of copies, rules that
+    agree on the word's classes with an earlier rule that applies and whose
+    classes lie in the block. Copies count as suppressed with no translate.
+    So where every such earlier rule fits, as under the builtin rules, the
+    plans suppress every copy within a word. A custom rule set can have one
+    that does not fit: then a word dedups in a set of its own in the blocks
+    that miss it and in the block that holds it.
 
     Across words it stays exact without a set of every candidate.
     RuleSet.fold gives apply_rule(b, r) == p only when b and p have the same

@@ -119,6 +119,7 @@ def test_crack_recovers_planted_pattern():
     m = result.matches[0]
     assert (m.plaintext, m.base_word, m.rule_id) == ("p@ssw0rd", "password", "D1")
     assert m.digest == md5_reference(b"p@ssw0rd")
+    assert m.hex() == m.digest.hex()
     assert hs.recovered[m.digest] == "p@ssw0rd"
 
 

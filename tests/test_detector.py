@@ -71,8 +71,8 @@ def test_deleet_rebuilds_the_base_where_the_password_holds_a_remapped_replacemen
     # re-applies to b0, since the rule also turns A into b; A is a stop
     # character of the rule, so _search_base builds ao.
     rs = parse_rules("X\ta>A,A>b,o>0\tcs\n")
-    [(_, stops)], _ = detector._inverse(rs)[2][frozenset({"0o"})]
-    assert "A" in stops
+    [(i, stops)] = detector._inverse(rs)[2][frozenset({"0o"})]
+    assert i == 0 and "A" in stops
     assert apply_rule("ao", rs[0]) == "A0" and apply_rule("Ao", rs[0]) == "b0"
     assert deleet("A0", rs, WordList.from_words(["ao"])) == [("ao", "X")]
 
@@ -148,17 +148,27 @@ def test_need_table_is_bounded_by_the_rule_set():
     # keys are the non-empty subsets of each rule's fold pairs, and no audit adds one
     rng = random.Random(36)
     assert len(detector._inverse(RS)[2]) == 81
+    searched = 0
     for rs in [RS] + [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
         rules, by_pair, table = detector._inverse(rs)
         own = [{q for q, ids in by_pair.items() if i in ids} for i in range(len(rs))]
         assert len(table) <= sum(2 ** len(pairs) - 1 for pairs in own)
-        for need, (shared, rest) in table.items():
+        for need, entry in table.items():
             assert need and any(need <= pairs for pairs in own)
-            ids = [i for i, _ in shared] + list(rest)
-            assert ids and sorted(ids) == [i for i, pairs in enumerate(own) if need <= pairs]
-            assert [i for i, _ in shared] == sorted(
-                i for i in ids if all(_plain(rules[i][5], q) for q in need))
-            assert list(rest) == sorted(rest)
+            ids = [i for i, _ in entry]
+            assert ids and ids == [i for i, pairs in enumerate(own) if need <= pairs]
+            for i, stops in entry:
+                _, translation, _, replacements, blocking, preimages = rules[i]
+                if all(_plain(preimages, q) for q in need):
+                    # the characters the rule changes: its blocking characters, and the
+                    # replacements it turns into another character
+                    assert stops == blocking | {
+                        r for r in translation.values() if translation.get(ord(r), r) != r}
+                else:
+                    # a password under need holds each c of its pairs c + f, so
+                    # stopping on the replacements sends the rule to _search_base
+                    assert stops == replacements and {q[0] for q in need} <= stops
+                    searched += 1
         size = len(table)
         chars = sorted({c for r in rs for p in r.pairs for c in (p.source, p.replacement)})
         dictionary = WordList.from_words(["".join(rng.choices(chars, k=3)) for _ in range(5)])
@@ -174,6 +184,7 @@ def test_need_table_is_bounded_by_the_rule_set():
                            RS, dictionary).findings)
     assert found > 100
     assert len(detector._inverse(RS)[2]) == size
+    assert searched > 1000
 
 
 def test_rule_screen_spares_search_where_casefold_changes_length(monkeypatch):
@@ -202,9 +213,8 @@ def test_builtin_mangles_take_the_shared_base(monkeypatch):
     # Every builtin rule may take the shared base wherever a word lines up, so
     # auditing their mangles of lowercase words never runs _search_base.
     rules, _, by_need = detector._inverse(RS)
-    for shared, rest in by_need.values():
-        assert shared and not rest
-        assert all(stops == rules[i][4] for i, stops in shared)
+    for entry in by_need.values():
+        assert entry and all(stops == rules[i][4] for i, stops in entry)
     calls = []
     search = detector._search_base
 

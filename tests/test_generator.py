@@ -128,6 +128,16 @@ def test_generate_base_words_stream_first_and_win_dedup():
     assert stats.by_arity["single"] == 0
 
 
+def test_generate_suppresses_a_repeated_base_word():
+    # a WordList built directly may repeat a word: the repeat's base and its
+    # 29 raw mangles (14 emitted, 15 copies) are suppressed, so the records
+    # are the deduplicated list's
+    twice, stats = _records(WordList(("pass", "pass"), (("memory", 2),)), RS, include_base=True)
+    once, once_stats = _records(WordList(("pass",), (("memory", 1),)), RS, include_base=True)
+    assert twice == once and stats.by_arity == once_stats.by_arity
+    assert stats.suppressed_duplicates == once_stats.suppressed_duplicates + 30 == 45
+
+
 def test_generate_dedup_keeps_first_provenance():
     # S5 and D1 both map "pass" to "p@ss"; S5 comes first in rule order
     wl = WordList.from_words(["pass"])
@@ -435,6 +445,8 @@ def test_generate_plans_are_exact_within_a_word():
         cut += len(blocks) > 1
         for plans, mask, needs_set in blocks:
             assert mask.bit_count() <= 8
+            # one rule claims at most 3 pairs x 2 cases, so it always fits a block
+            assert all(claim.bit_count() <= 6 for (claim, *_), _ in plans.entries)
             with_set += needs_set
             without_set += not needs_set
             claimed = 0
