@@ -1,10 +1,14 @@
 """Digests, the store of digests to recover, its parser, the matcher and the
 `hexdigest:plaintext` recovery line.
 
-The matcher hashes each candidate in stream order on the calling thread, so
-counts, first-wins recovery and the final match list depend only on the
-candidate stream. CPython holds the GIL while hashing inputs under 2 KiB, so
-worker threads measured slower than this single loop at every count.
+The matcher hashes each candidate once, in stream order, on the calling
+thread, so counts, first-wins recovery and the final match list depend only
+on the candidate stream. A stream from generate that nobody has iterated yet
+is hashed inside the generator's own loop, right after each candidate's
+dedup check, and hands the matcher only its hits; any other input is hashed
+here record by record. CPython holds the GIL while hashing inputs under
+2 KiB, so worker threads measured slower than this single loop at every
+count.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from ._value import Value
 from .corpus import read_lines
 from .errors import (AlgorithmMismatchError, HashFormatError, HashStoreError,
                      UnknownAlgorithmError)
-from .generator import CandidateRecord
+from .generator import CandidateRecord, CandidateStream
 
 ALGORITHMS = {"md5": 16, "sha1": 20, "sha256": 32}
 
@@ -213,16 +217,32 @@ class CrackResult(Value):
         }
 
 
+def _record_hit(hs: HashStore, matches: list[Match], cand: bytes, base: str, rule_id: str,
+                digest: bytes) -> bool:
+    """Append the hit to matches and record it in hs, as mark_recovered would
+    but without hashing cand again: the caller found digest, cand's digest,
+    in the store. True only on the digest's first recovery."""
+    plaintext = cand.decode("utf-8", "surrogatepass")
+    matches.append(Match(digest, plaintext, base, rule_id))
+    return hs._record(digest, plaintext)
+
+
 def crack(hs: HashStore, candidates: Iterable[CandidateRecord],
           algorithm: str | None = None, threads: int = 1,
           chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> CrackResult:
     """Hash every candidate once, in stream order, and match it against the store.
 
-    Candidates are hashed as bytes and only hits are decoded. Hits are recorded
-    as mark_recovered records them (atomic, first plaintext wins), without
-    hashing them again; recovered_new counts only digests newly recovered by
-    this call. Matches come back sorted by digest. threads and chunk_bytes
-    have no effect: matching always runs on the calling thread.
+    Candidates are hashed as bytes and only hits are decoded. A CandidateStream
+    from generate that has not been iterated yet hashes its candidates in the
+    generator's loop, after the dedup check, and yields crack only the hits,
+    each with its digest; attempted is then the stream's stats.emitted, the
+    number of records it would have yielded. Any other input (base_candidates,
+    a list, a stream already started, or a proxy that wraps one) is iterated
+    and hashed here record by record, and attempted counts the records. Hits
+    are recorded as mark_recovered records them (atomic, first plaintext wins),
+    without hashing them again; recovered_new counts only digests newly
+    recovered by this call. Matches come back sorted by digest. threads and
+    chunk_bytes have no effect: matching always runs on the calling thread.
     perfbench/workloads.py is their only user, so they go when it stops passing them.
     """
     if algorithm is None:
@@ -237,13 +257,18 @@ def crack(hs: HashStore, candidates: Iterable[CandidateRecord],
     recovered_new = 0
     matches: list[Match] = []
     start = time.perf_counter()
-    for attempted, (cand, base, rule_id) in enumerate(candidates, 1):
-        d = hasher(cand).digest()
-        if d in digests:
-            plaintext = cand.decode("utf-8", "surrogatepass")
-            if hs._record(d, plaintext):   # d is cand's digest and in the store
-                recovered_new += 1
-            matches.append(Match(d, plaintext, base, rule_id))
+    # the exact type: a proxy that forwards attributes to a stream still
+    # iterates it record by record, and must see every record
+    hits = candidates._hits(digests, hasher) if type(candidates) is CandidateStream else None
+    if hits is None:
+        for attempted, (cand, base, rule_id) in enumerate(candidates, 1):
+            d = hasher(cand).digest()
+            if d in digests:
+                recovered_new += _record_hit(hs, matches, cand, base, rule_id, d)
+    else:
+        for cand, base, rule_id, d in hits:
+            recovered_new += _record_hit(hs, matches, cand, base, rule_id, d)
+        attempted = candidates.stats.emitted
     elapsed = time.perf_counter() - start
 
     matches.sort()

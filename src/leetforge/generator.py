@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterator
+from typing import Any, Callable, Collection, Iterator
 
 from ._value import Value
 from .corpus import WordList, _fold_keys
@@ -56,13 +56,37 @@ def apply_rule(word: str, rule: ReplacementRule,
 
 
 class CandidateStream:
-    """Single-use iterator of CandidateRecords; stats are final once exhausted."""
+    """Single-use iterator of CandidateRecords; stats are final once exhausted.
+
+    crack takes a stream from generate that nobody has iterated yet through
+    _hits instead: the generator then hashes each candidate after its dedup
+    check and yields only the hits. The stats count every emitted candidate
+    either way.
+    """
+
+    # generate's empty list, which _hits fills with (digests, hasher) for the
+    # generator to read at its first step; None once the stream is iterated,
+    # and for a stream built by any other caller
+    _target: list | None = None
 
     def __init__(self, iterator: Iterator[CandidateRecord], stats: GenStats):
         self._iterator = iterator
         self.stats = stats
 
     def __iter__(self) -> Iterator[CandidateRecord]:
+        self._target = None
+        return self._iterator
+
+    def _hits(self, digests: Collection[bytes],
+              hasher: Callable[[bytes], Any]) -> Iterator[tuple[bytes, str, str, bytes]] | None:
+        """The records whose candidate's digest, hasher(candidate).digest(), is
+        in digests, each with that digest after its fields; None where the
+        stream cannot do this, being started already or not from generate."""
+        target = self._target
+        if target is None:
+            return None
+        target += digests, hasher
+        self._target = None
         return self._iterator
 
 
@@ -207,7 +231,7 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
 
 
 def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: bool,
-                dedup: bool, stats: GenStats) -> Iterator[CandidateRecord]:
+                dedup: bool, stats: GenStats, target: list) -> Iterator[tuple]:
     # Candidates and dedup keys are UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
     # as the strings would, in less memory per entry. Words that share a
@@ -215,6 +239,10 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
     # each word's entry, so a key's set is freed once its last word has run
     # its rules. Any other word dedups in no set where its plans prove every
     # copy, and in `own`, cleared for each word, in the blocks they do not.
+    # With a target (see CandidateStream._hits), each candidate that passes
+    # dedup is counted and hashed, and yielded with its digest only when the
+    # digest is in the target's set.
+    digests, hasher = target or (None, None)
     words = wl.words
     word_sets = _dedup_sets(words, rs.fold) if dedup else [None] * len(words)
     if include_base:
@@ -226,7 +254,10 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                     continue
                 seen.add(wb)
             stats.by_arity["base"] += 1
-            yield wb, word, BASE_RULE_ID
+            if digests is None:
+                yield wb, word, BASE_RULE_ID
+            elif (d := hasher(wb).digest()) in digests:
+                yield wb, word, BASE_RULE_ID, d
     word_sets.reverse()
     next_set = word_sets.pop
     bits = _class_bits(rs)
@@ -261,7 +292,10 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                         continue
                     seen.add(ob)
                 by_arity[arity] += 1
-                yield ob, word, rule_id
+                if digests is None:
+                    yield ob, word, rule_id
+                elif (d := hasher(ob).digest()) in digests:
+                    yield ob, word, rule_id, d
 
 
 def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
@@ -298,9 +332,20 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     shares needs no set beyond the one above. Words that share a key keep
     their candidates in one set per key, dropped once the key's last word has
     run its rules.
+
+    The stream is single-use. Iterated, it yields every record. crack instead
+    hands a stream it gets before anyone iterated it the store's digest set
+    and hash constructor (CandidateStream._hits); the same loop then hashes
+    each candidate right after its dedup check and yields only the hits, each
+    with its digest, so a miss costs no resume and no tuple. Dedup, the
+    stats and the order of the hits are the same either way.
     """
     stats = GenStats()
-    return CandidateStream(_candidates(wl, rs, include_base, strict_multi, dedup, stats), stats)
+    target: list = []
+    stream = CandidateStream(
+        _candidates(wl, rs, include_base, strict_multi, dedup, stats, target), stats)
+    stream._target = target
+    return stream
 
 
 def base_candidates(wl: WordList) -> Iterator[CandidateRecord]:

@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 
 import leetforge
-from leetforge import (AlgorithmMismatchError, HashStoreError,
+from leetforge import (AlgorithmMismatchError, CandidateStream, HashStoreError,
                        UnknownAlgorithmError, WordList, base_candidates, builtin_rules,
-                       crack, digest_of, generate, load_hashes)
+                       crack, digest_of, format_potfile, generate, load_hashes)
 from leetforge.cracker import _CONSTRUCTORS
 from oracles import md5_reference
-from synthetic import planted_corpus
+from synthetic import planted_corpus, random_custom_rules
 
 RS = builtin_rules()
 
@@ -230,3 +230,121 @@ def test_crack_reports_throughput():
     d = r.to_dict()
     assert d["attempted"] == r.attempted
     assert isinstance(d["matches"], list)
+
+
+def _planted_store(rng, wl, rs):
+    """A store holding about a third of the distinct candidates generate can
+    emit for wl under rs (base words included), plus random digests."""
+    cands = sorted({c for c, _, _ in generate(wl, rs, include_base=True, dedup=False)})
+    planted = [digest_of(c) for c in rng.sample(cands, len(cands) // 3)]
+    planted += [rng.randbytes(16) for _ in range(20)]
+    return load_hashes("".join(d.hex() + "\n" for d in planted))
+
+
+def _fused_cases():
+    """(words, rule set) pairs: the builtin rules, and random custom sets over
+    words from their pool's characters; each list holds a non-ASCII word and
+    one with a lone surrogate."""
+    rng = random.Random(26)
+    words = ["password", "dragon", "leet", "Sass", "admin1", "caf\u00e9", "p\udc80ss"]
+    words += ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 8)))
+              for _ in range(40)]
+    yield words, RS
+    chars = "abiAB1@xyz\u00e9\u00c9\u20ac\u01c5\u00df\u1e9e\u0130\ufb01"
+    for _ in range(24):
+        rs = random_custom_rules(rng, rng.randint(1, 6))
+        words = ["".join(rng.choices(chars, k=rng.randint(1, 5))) for _ in range(20)]
+        yield words + ["a\udc80b", "\u00e9a"], rs
+
+
+def test_crack_over_a_fresh_stream_equals_crack_over_its_records(monkeypatch):
+    # a stream from generate hands crack only its hits, hashed in the
+    # generator's loop; everything crack reports is as over the plain records
+    fused = []
+    hits = CandidateStream._hits
+    monkeypatch.setattr(CandidateStream, "_hits",
+                        lambda self, *a: fused.append(hits(self, *a)) or fused[-1])
+    rng = random.Random(2026)
+    runs = recovering = 0
+    for words, rs in _fused_cases():
+        wl = WordList.from_words(words)
+        hs0 = _planted_store(rng, wl, rs)
+        for include_base in (False, True):
+            for strict_multi in (False, True):
+                for dedup in (False, True):
+                    opts = dict(include_base=include_base, strict_multi=strict_multi,
+                                dedup=dedup)
+                    hs, ref_hs = hs0.fresh(), hs0.fresh()
+                    stream, ref_stream = generate(wl, rs, **opts), generate(wl, rs, **opts)
+                    got = crack(hs, stream)
+                    assert fused.pop() is not None
+                    want = crack(ref_hs, list(ref_stream))
+                    assert got.matches == want.matches, (rs, opts)
+                    assert got.attempted == want.attempted == stream.stats.emitted
+                    assert got.recovered_new == want.recovered_new
+                    assert format_potfile(hs) == format_potfile(ref_hs)
+                    assert stream.stats == ref_stream.stats
+                    runs += 1
+                    recovering += bool(got.matches)
+    assert runs == 25 * 8
+    assert recovering > 150
+
+
+def test_crack_over_a_started_stream_hashes_the_rest():
+    words, hash_text, _, _ = planted_corpus(200, 40, 40)
+    wl = WordList.from_words(words)
+    stream = generate(wl, RS, include_base=True)
+    first = next(iter(stream))
+    hs, ref_hs = load_hashes(hash_text), load_hashes(hash_text)
+    got = crack(hs, stream)
+    records = list(generate(wl, RS, include_base=True))
+    assert records[0] == first
+    want = crack(ref_hs, records[1:])
+    assert got.matches == want.matches
+    assert got.attempted == want.attempted == stream.stats.emitted - 1
+    assert got.recovered_new == want.recovered_new == 79   # the first word was planted
+    assert format_potfile(hs) == format_potfile(ref_hs)
+
+
+class _Proxy:
+    """Shaped like a timing wrapper: iterates the stream, forwards attributes."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self.records = 0
+
+    def __getattr__(self, attr):
+        return getattr(self._stream, attr)
+
+    def __iter__(self):
+        for record in self._stream:
+            self.records += 1
+            yield record
+
+
+def test_crack_over_a_proxy_of_a_stream_hashes_each_record():
+    words, hash_text, _, _ = planted_corpus(200, 40, 40)
+    wl = WordList.from_words(words)
+    proxy = _Proxy(generate(wl, RS, include_base=True))
+    hs, ref_hs = load_hashes(hash_text), load_hashes(hash_text)
+    got = crack(hs, proxy)
+    want = crack(ref_hs, generate(wl, RS, include_base=True))
+    assert proxy.records == got.attempted == proxy.stats.emitted == 800
+    assert (got.matches, got.attempted, got.recovered_new) == (
+        want.matches, want.attempted, want.recovered_new)
+    assert format_potfile(hs) == format_potfile(ref_hs)
+
+
+def test_generate_records_do_not_depend_on_the_hit_branch():
+    # the same loop with every candidate a hit yields gen's records in order,
+    # each with its digest
+    md5 = _CONSTRUCTORS["md5"]
+    for words, rs in _fused_cases():
+        wl = WordList.from_words(words)
+        for include_base in (False, True):
+            records = list(generate(wl, rs, include_base=include_base))
+            assert all(len(r) == 3 for r in records)
+            every = frozenset(md5(c).digest() for c, _, _ in records)
+            hits = list(generate(wl, rs, include_base=include_base)._hits(every, md5))
+            assert [h[:3] for h in hits] == records
+            assert [h[3] for h in hits] == [md5(c).digest() for c, _, _ in records]

@@ -7,7 +7,8 @@ import string
 import sys
 
 from leetforge import (CharPair, ReplacementRule, RuleSet, WordList, apply_rule, audit,
-                       builtin_rules, deleet, detector, parse_rules, serialize_rules)
+                       builtin_rules, deleet, detector, generate, parse_rules,
+                       serialize_rules)
 from oracles import audit_reference
 from synthetic import case_noise, random_custom_rules
 
@@ -417,6 +418,31 @@ def test_audit_roundtrip_sample():
         assert (word, rule.id) in result.findings
         checked += 1
     assert checked > 100
+
+
+def test_audit_inverts_every_generated_record_under_custom_rules():
+    # forward and inverse agree: for every record generate emits, audit
+    # reports its rule with a base that casefolds to its word and gives the
+    # password back under apply_rule. audit takes no strict option, so under
+    # strict_multi too the check is plain apply_rule: the reported base may
+    # lack a source the word holds (xẞib1 -> xßiß1 under ẞ>ß,b>ß).
+    rng = random.Random(2026)
+    chars = "abiAB1@xyz\u00e9\u00c9\u20ac\u01c5\u00df\u1e9e\u0130\ufb01"
+    checked = 0
+    for _ in range(300):
+        rs = random_custom_rules(rng, rng.randint(1, 6))
+        wl = WordList.from_words(["".join(rng.choices(chars, k=rng.randint(1, 5)))
+                                  for _ in range(12)])
+        for strict_multi in (False, True):
+            for cand, word, rule_id in generate(wl, rs, strict_multi=strict_multi,
+                                                dedup=False):
+                pw = cand.decode("utf-8", "surrogatepass")
+                rule = rs.by_id(rule_id)
+                assert any(r == rule_id and base.casefold() == word.casefold()
+                           and apply_rule(base, rule) == pw
+                           for base, r in audit(pw, rs, wl).findings), (pw, word, rule)
+                checked += 1
+    assert checked > 4000
 
 
 def test_detection_result_json_shape():
