@@ -17,7 +17,7 @@ from .corpus import load_wordlist_files, read_lines
 from .cracker import ALGORITHMS, crack, format_potfile, load_hashes
 from .detector import audit
 from .errors import InputFormatError, LeetforgeError
-from .generator import base_candidates, generate
+from .generator import generate
 from .rules import RuleSet, builtin_rules, export_hashcat, parse_rules, serialize_rules
 
 EXIT_OK = 0
@@ -132,12 +132,8 @@ def cmd_crack(args) -> int:
     rs = _crack_rules(args)
     store = load_hashes(Path(args.hashes).read_bytes(), args.algorithm)
     wl = load_wordlist_files(args.wordlist)
-    if rs:
-        candidates = generate(wl, rs, include_base=not args.patterns_only,
-                              strict_multi=args.strict_multi, dedup=not args.no_dedup)
-    else:  # the base words are distinct already: no dedup sets to build
-        candidates = base_candidates(wl)
-    result = crack(store, candidates)
+    result = crack(store, generate(wl, rs, include_base=not args.patterns_only,
+                                   strict_multi=args.strict_multi, dedup=not args.no_dedup))
     recoveries = format_potfile(store)
     try:  # potfile first: a reader that closed stdout early must not cost the file
         if args.potfile:

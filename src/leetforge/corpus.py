@@ -11,7 +11,12 @@ from .errors import WordlistDecodeError
 
 
 class WordList(Frozen):
-    """Deduplicated words in first-occurrence order plus per-source raw counts."""
+    """Deduplicated words in first-occurrence order plus per-source raw counts.
+
+    The constructor does not check that the words are distinct; the loaders
+    and from_words make them so, and generate relies on it: with no rules it
+    streams the words as they are, a repeat included.
+    """
 
     _fields = ("words", "sources")
 

@@ -4,11 +4,11 @@
 The matcher hashes each candidate once, in stream order, on the calling
 thread, so counts, first-wins recovery and the final match list depend only
 on the candidate stream. A stream from generate that nobody has iterated yet
-is hashed inside the generator's own loop, right after each candidate's
-dedup check, and hands the matcher only its hits; any other input is hashed
-here record by record. CPython holds the GIL while hashing inputs under
-2 KiB, so worker threads measured slower than this single loop at every
-count.
+(base_candidates, the base words alone, is one) is hashed inside the
+generator's own loop, right after each candidate's dedup check, and hands
+the matcher only its hits; any other input is hashed here record by record.
+CPython holds the GIL while hashing inputs under 2 KiB, so worker threads
+measured slower than this single loop at every count.
 """
 
 from __future__ import annotations
@@ -236,8 +236,9 @@ def crack(hs: HashStore, candidates: Iterable[CandidateRecord],
     from generate that has not been iterated yet hashes its candidates in the
     generator's loop, after the dedup check, and yields crack only the hits,
     each with its digest; attempted is then the stream's stats.emitted, the
-    number of records it would have yielded. Any other input (base_candidates,
-    a list, a stream already started, or a proxy that wraps one) is iterated
+    number of records it would have yielded. base_candidates and generate
+    with no rules give such a stream of the base words. Any other input (a
+    list, a stream already started, or a proxy that wraps one) is iterated
     and hashed here record by record, and attempted counts the records. Hits
     are recorded as mark_recovered records them (atomic, first plaintext wins),
     without hashing them again; recovered_new counts only digests newly

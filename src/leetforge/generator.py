@@ -244,6 +244,16 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
     # digest is in the target's set.
     digests, hasher = target or (None, None)
     words = wl.words
+    if not rs:   # the base words alone: no sets, no mangle pass (see generate)
+        if include_base:
+            for word in words:
+                wb = word.encode("utf-8", "surrogatepass")
+                if digests is None:
+                    yield wb, word, BASE_RULE_ID
+                elif (d := hasher(wb).digest()) in digests:
+                    yield wb, word, BASE_RULE_ID, d
+            stats.by_arity["base"] = len(words)
+        return
     word_sets = _dedup_sets(words, rs.fold) if dedup else [None] * len(words)
     if include_base:
         for word, seen in zip(words, word_sets):
@@ -333,6 +343,13 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     their candidates in one set per key, dropped once the key's last word has
     run its rules.
 
+    With no rules there is nothing to mangle: the stream is the base words
+    (or nothing, without include_base), with no dedup set and no mangle pass,
+    and by_arity["base"] is set to len(wl) once they have all streamed. This
+    relies on the WordList contract that its words are distinct, which every
+    loader and WordList.from_words keep. A list built with a repeat streams
+    the repeat here; with rules and dedup, the repeat is suppressed.
+
     The stream is single-use. Iterated, it yields every record. crack instead
     hands a stream it gets before anyone iterated it the store's digest set
     and hash constructor (CandidateStream._hits); the same loop then hashes
@@ -348,7 +365,8 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     return stream
 
 
-def base_candidates(wl: WordList) -> Iterator[CandidateRecord]:
-    """The unmangled words as a candidate stream (rule id BASE)."""
-    for word in wl.words:
-        yield word.encode("utf-8", "surrogatepass"), word, BASE_RULE_ID
+def base_candidates(wl: WordList) -> CandidateStream:
+    """The unmangled words as a candidate stream (rule id BASE): generate
+    with no rules and include_base, so crack matches it in the generator's
+    loop as it does any fresh stream from generate."""
+    return generate(wl, RuleSet(()), include_base=True)

@@ -340,6 +340,25 @@ def test_crack_rules_none_tries_base_words_only(capsys, tmp_path, wordfile):
     assert out == ""
 
 
+def test_crack_rules_none_ignores_strict_multi_and_no_dedup(capsys, tmp_path):
+    wordlist, hashes = tmp_path / "w.txt", tmp_path / "h.txt"
+    wordlist.write_text("pass\np@ss\nPass\ncaf\u00e9\n", encoding="utf-8")
+    hashes.write_text("".join(hashlib.md5(w.encode()).hexdigest() + "\n"
+                              for w in ("p@ss", "caf\u00e9", "p@55")))
+    runs = []
+    for options in ([], ["--strict-multi"], ["--no-dedup"], ["--strict-multi", "--no-dedup"]):
+        pot = tmp_path / f"{len(runs)}.pot"
+        code, out, _ = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordlist,
+                               "-r", "none", "--json", "--potfile", pot, *options)
+        assert code == 0
+        doc = json.loads(out)
+        del doc["elapsed_seconds"], doc["throughput"]
+        runs.append((doc, pot.read_text(encoding="utf-8")))
+    assert runs[0][0]["attempted"] == 4
+    assert sorted(m["plaintext"] for m in runs[0][0]["matches"]) == ["caf\u00e9", "p@ss"]
+    assert all(run == runs[0] for run in runs)
+
+
 @pytest.mark.parametrize("command", ["crack", "bench"])
 def test_crack_rules_none_patterns_only_is_usage_error(capsys, tmp_path, wordfile, command):
     hashes = tmp_path / "hashes.txt"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import leetforge
-from leetforge import (AlgorithmMismatchError, CandidateStream, HashStoreError,
+from leetforge import (AlgorithmMismatchError, CandidateStream, HashStoreError, RuleSet,
                        UnknownAlgorithmError, WordList, base_candidates, builtin_rules,
                        crack, digest_of, format_potfile, generate, load_hashes)
 from leetforge.cracker import _CONSTRUCTORS
@@ -348,3 +348,60 @@ def test_generate_records_do_not_depend_on_the_hit_branch():
             hits = list(generate(wl, rs, include_base=include_base)._hits(every, md5))
             assert [h[:3] for h in hits] == records
             assert [h[3] for h in hits] == [md5(c).digest() for c, _, _ in records]
+
+
+def _base_case():
+    """A word list with case variants, a non-ASCII letter and a lone
+    surrogate, and a store holding a third of its words plus random digests."""
+    rng = random.Random(27)
+    words = ["Pass", "pass", "PASS", "caf\u00e9", "CAF\u00c9", "p\udc80ss", "\u00df"]
+    words += ["".join(rng.choices(string.ascii_letters, k=rng.randint(3, 8)))
+              for _ in range(60)]
+    wl = WordList.from_words(words)
+    planted = [digest_of(w) for w in words[::3] + ["p\udc80ss"]]
+    planted += [rng.randbytes(16) for _ in range(20)]
+    return wl, load_hashes("".join(d.hex() + "\n" for d in planted))
+
+
+_BASE_STREAMS = {"base_candidates": base_candidates,
+                 "generate": lambda wl: generate(wl, RuleSet(()), include_base=True)}
+
+
+@pytest.mark.parametrize("make", _BASE_STREAMS.values(), ids=_BASE_STREAMS)
+def test_crack_over_the_base_stream_equals_crack_over_its_words(monkeypatch, make):
+    # the base words alone are a fresh stream from generate, so crack matches
+    # them in the generator's loop; everything it reports is as over the records
+    fused = []
+    hits = CandidateStream._hits
+    monkeypatch.setattr(CandidateStream, "_hits",
+                        lambda self, *a: fused.append(hits(self, *a)) or fused[-1])
+    wl, hs0 = _base_case()
+    hs, ref_hs = hs0.fresh(), hs0.fresh()
+    stream = make(wl)
+    got = crack(hs, stream)
+    assert len(fused) == 1 and fused[0] is not None
+    records = list(make(wl))
+    assert records == [(w.encode("utf-8", "surrogatepass"), w, "BASE") for w in wl.words]
+    want = crack(ref_hs, records)
+    assert got.matches == want.matches
+    assert got.attempted == want.attempted == len(wl)
+    assert got.recovered_new == want.recovered_new == 24
+    assert format_potfile(hs) == format_potfile(ref_hs)
+    assert stream.stats.by_arity == {"base": len(wl), "single": 0, "dual": 0, "triad": 0}
+    assert stream.stats.suppressed_duplicates == 0
+
+
+@pytest.mark.parametrize("make", _BASE_STREAMS.values(), ids=_BASE_STREAMS)
+def test_crack_over_a_started_or_wrapped_base_stream_hashes_each_record(make):
+    wl, hs0 = _base_case()
+    want = crack(hs0.fresh(), list(make(wl)))
+    proxy = _Proxy(make(wl))
+    hs = hs0.fresh()
+    got = crack(hs, proxy)
+    assert proxy.records == got.attempted == len(wl)
+    assert (got.matches, got.recovered_new) == (want.matches, want.recovered_new)
+    stream = make(wl)
+    first = next(iter(stream))
+    got = crack(hs0.fresh(), stream)
+    assert got.attempted == len(wl) - 1
+    assert got.matches == [m for m in want.matches if m.base_word != first[1]]

@@ -13,6 +13,7 @@ import pytest
 from leetforge import (BASE_RULE_ID, CharPair, GenStats, ReplacementRule, RuleSet,
                        WordList, apply_rule, base_candidates, builtin_rules, generate,
                        parse_rules)
+from leetforge import generator
 from leetforge.generator import _class_bits, _plan_blocks
 from oracles import generate_reference, mangle_reference
 from synthetic import random_custom_rules
@@ -129,13 +130,44 @@ def test_generate_base_words_stream_first_and_win_dedup():
 
 
 def test_generate_suppresses_a_repeated_base_word():
-    # a WordList built directly may repeat a word: the repeat's base and its
-    # 29 raw mangles (14 emitted, 15 copies) are suppressed, so the records
-    # are the deduplicated list's
+    # a WordList built directly may repeat a word: under rules the repeat's
+    # base and its 29 raw mangles (14 emitted, 15 copies) are suppressed, so
+    # the records are the deduplicated list's (with no rules, see below)
     twice, stats = _records(WordList(("pass", "pass"), (("memory", 2),)), RS, include_base=True)
     once, once_stats = _records(WordList(("pass",), (("memory", 1),)), RS, include_base=True)
     assert twice == once and stats.by_arity == once_stats.by_arity
     assert stats.suppressed_duplicates == once_stats.suppressed_duplicates + 30 == 45
+
+
+def test_generate_with_no_rules_streams_a_repeated_base_word():
+    # with no rules nothing is deduplicated: a WordList's words are distinct
+    # by contract, so a list built with a repeat streams it, as
+    # base_candidates always did
+    wl = WordList(("pass", "Pass", "pass"), (("memory", 3),))
+    records, stats = _records(wl, RuleSet(()), include_base=True)
+    assert records == [(b"pass", "pass", "BASE"), (b"Pass", "Pass", "BASE"),
+                       (b"pass", "pass", "BASE")]
+    assert list(base_candidates(wl)) == records
+    assert (stats.by_arity["base"], stats.suppressed_duplicates) == (3, 0)
+
+
+@pytest.mark.parametrize("dedup", [True, False])
+@pytest.mark.parametrize("include_base", [True, False])
+def test_generate_with_no_rules_builds_no_sets_and_runs_no_mangle_pass(
+        monkeypatch, include_base, dedup):
+    def refuse(*args):
+        raise AssertionError("no rules need it")
+
+    for name in ("_dedup_sets", "_class_bits", "_plan_blocks"):
+        monkeypatch.setattr(generator, name, refuse)
+    wl = WordList.from_words(["pass", "Pass", "caf\u00e9", "p\udc80ss"])
+    records, stats = _records(wl, RuleSet(()), include_base=include_base, dedup=dedup)
+    if include_base:
+        assert records == [(w.encode("utf-8", "surrogatepass"), w, "BASE") for w in wl]
+        assert stats == GenStats(0, {"base": 4, "single": 0, "dual": 0, "triad": 0})
+    else:
+        assert records == []
+        assert stats == GenStats()
 
 
 def test_generate_dedup_keeps_first_provenance():
