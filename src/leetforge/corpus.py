@@ -14,8 +14,8 @@ class WordList(Frozen):
     """Deduplicated words in first-occurrence order plus per-source raw counts.
 
     The constructor does not check that the words are distinct; the loaders
-    and from_words make them so, and generate relies on it: with no rules it
-    streams the words as they are, a repeat included.
+    and from_words make them so, and generate relies on it: it streams the
+    base words as they are, a repeat included, with or without rules.
     """
 
     _fields = ("words", "sources")

@@ -14,6 +14,11 @@ CandidateRecord = tuple[bytes, str, str]  # candidate (UTF-8 bytes), base_word, 
 
 
 class GenStats(Value):
+    """What a generate stream emitted and suppressed (final once exhausted):
+    suppressed_duplicates, the candidates dedup dropped, and by_arity, the
+    emitted records by kind: "base" the base words streamed (len(wl) with
+    include_base, else 0), "single", "dual" and "triad" the mangles."""
+
     _fields = ("suppressed_duplicates", "by_arity")
 
     def __init__(self, suppressed_duplicates: int = 0,
@@ -90,13 +95,19 @@ class CandidateStream:
         return self._iterator
 
 
-def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None]) -> list[set[bytes] | None]:
+def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None],
+                include_base: bool) -> list[set[bytes] | None]:
     """For each word, the set its candidates dedup in: one set per fold key
-    that more than one word has, None for a key of one word. The keys are
-    dropped on return, so each set lives only as long as the list's entries."""
+    that more than one word has, None for a key of one word; with
+    include_base each set starts with its key's words. The keys are dropped
+    on return, so each set lives only as long as the list's entries."""
     keys = _fold_keys(words, fold)
     counts = Counter(keys)
     sets: defaultdict[str, set[bytes]] = defaultdict(set)
+    if include_base:
+        for word, key in zip(words, keys):
+            if counts[key] > 1:
+                sets[key].add(word.encode("utf-8", "surrogatepass"))
     return [sets[key] if counts[key] > 1 else None for key in keys]
 
 
@@ -234,40 +245,28 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
                 dedup: bool, stats: GenStats, target: list) -> Iterator[tuple]:
     # Candidates and dedup keys are UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
-    # as the strings would, in less memory per entry. Words that share a
-    # fold key dedup in one set per key (see generate); the mangle loop pops
-    # each word's entry, so a key's set is freed once its last word has run
-    # its rules. Any other word dedups in no set where its plans prove every
+    # as the strings would, in less memory per entry. Base words stream
+    # first, unchecked; words that share a fold key dedup in one set per key,
+    # seeded with their base words (see generate). The mangle loop pops each
+    # word's entry, so a key's set is freed once its last word has run its
+    # rules. Any other word dedups in no set where its plans prove every
     # copy, and in `own`, cleared for each word, in the blocks they do not.
     # With a target (see CandidateStream._hits), each candidate that passes
     # dedup is counted and hashed, and yielded with its digest only when the
     # digest is in the target's set.
     digests, hasher = target or (None, None)
     words = wl.words
-    if not rs:   # the base words alone: no sets, no mangle pass (see generate)
-        if include_base:
-            for word in words:
-                wb = word.encode("utf-8", "surrogatepass")
-                if digests is None:
-                    yield wb, word, BASE_RULE_ID
-                elif (d := hasher(wb).digest()) in digests:
-                    yield wb, word, BASE_RULE_ID, d
-            stats.by_arity["base"] = len(words)
-        return
-    word_sets = _dedup_sets(words, rs.fold) if dedup else [None] * len(words)
     if include_base:
-        for word, seen in zip(words, word_sets):
+        for word in words:
             wb = word.encode("utf-8", "surrogatepass")
-            if seen is not None:
-                if wb in seen:
-                    stats.suppressed_duplicates += 1
-                    continue
-                seen.add(wb)
-            stats.by_arity["base"] += 1
             if digests is None:
                 yield wb, word, BASE_RULE_ID
             elif (d := hasher(wb).digest()) in digests:
                 yield wb, word, BASE_RULE_ID, d
+        stats.by_arity["base"] = len(words)
+    if not rs:
+        return
+    word_sets = _dedup_sets(words, rs.fold, include_base) if dedup else [None] * len(words)
     word_sets.reverse()
     next_set = word_sets.pop
     bits = _class_bits(rs)
@@ -312,10 +311,11 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
              strict_multi: bool = False, dedup: bool = True) -> CandidateStream:
     """Stream candidates word-major, applying rules in rule-set order.
 
-    With include_base all base words stream ahead of the mangles, so a mangle
-    colliding with any base word is the one that gets suppressed. strict_multi
-    is as in apply_rule. Dedup is global across the whole stream and keeps the
-    first emission's provenance.
+    With include_base the base words stream first, in order and unchecked
+    with or without rules, and by_arity["base"] is set to len(wl) once they
+    all have; a mangle that repeats one is the one suppressed. strict_multi
+    is as in apply_rule. Dedup is global across the whole stream and keeps
+    the first emission's provenance.
 
     Most rules change a given word not at all, or exactly as an earlier rule
     does (D1 a>@,o>0 on a word with no o is S5 a>@), so each word translates
@@ -338,17 +338,14 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     RuleSet.fold gives apply_rule(b, r) == p only when b and p have the same
     fold key, casefold().translate(fold); so two different words can emit
     one candidate only if their keys are equal. A mangle never equals its own
-    word, and the base words are distinct. So a word whose key no other word
-    shares needs no set beyond the one above. Words that share a key keep
-    their candidates in one set per key, dropped once the key's last word has
-    run its rules.
-
-    With no rules there is nothing to mangle: the stream is the base words
-    (or nothing, without include_base), with no dedup set and no mangle pass,
-    and by_arity["base"] is set to len(wl) once they have all streamed. This
-    relies on the WordList contract that its words are distinct, which every
-    loader and WordList.from_words keep. A list built with a repeat streams
-    the repeat here; with rules and dedup, the repeat is suppressed.
+    word. So a word whose key no other word shares needs no set beyond the
+    one above. Words that share a key keep their candidates in one set per
+    key, which starts with the key's base words and is dropped once the
+    key's last word has run its rules. With no rules there is no set and no
+    mangle pass. The base words need no check, as a WordList's words are
+    distinct (every loader and WordList.from_words make them so): a list
+    built with a repeat streams the repeat's base record, and under rules and
+    dedup suppresses its mangles as copies of the first's.
 
     The stream is single-use. Iterated, it yields every record. crack instead
     hands a stream it gets before anyone iterated it the store's digest set
