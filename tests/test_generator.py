@@ -129,20 +129,29 @@ def test_generate_base_words_stream_first_and_win_dedup():
     assert stats.by_arity["single"] == 0
 
 
-def test_generate_streams_a_repeated_base_word():
-    # a WordList built directly may repeat a word: its base record streams
-    # with or without rules, as base_candidates always did, and under rules
-    # the repeat's 29 raw mangles (14 emitted, 15 copies) are suppressed
-    wl = WordList(("pass", "pass"), (("memory", 2),))
-    base = [(b"pass", "pass", BASE_RULE_ID)] * 2
-    assert list(base_candidates(wl)) == base
-    for rs, repeat_mangles, suppressed in ((RuleSet(()), 0, 0), (RS, 29, 44)):
-        records, stats = _records(wl, rs, include_base=True)
-        once, once_stats = _records(WordList(("pass",), (("memory", 1),)), rs, include_base=True)
-        assert records[:2] == base and records[2:] == once[1:]
-        assert stats.by_arity == {**once_stats.by_arity, "base": 2}
-        assert stats.suppressed_duplicates == \
-            once_stats.suppressed_duplicates + repeat_mangles == suppressed
+def test_generate_suppresses_a_repeated_base_word():
+    # a WordList built directly may repeat a word: under rules its base
+    # record streams (base words are not checked, see below), but its 29 raw
+    # mangles (14 emitted, 15 copies) are suppressed, so past the repeat's
+    # base record the records are the deduplicated list's
+    twice, stats = _records(WordList(("pass", "pass"), (("memory", 2),)), RS, include_base=True)
+    once, once_stats = _records(WordList(("pass",), (("memory", 1),)), RS, include_base=True)
+    assert once[0] == (b"pass", "pass", BASE_RULE_ID)
+    assert twice == once[:1] * 2 + once[1:]
+    assert stats.by_arity == {**once_stats.by_arity, "base": 2}
+    assert stats.suppressed_duplicates == once_stats.suppressed_duplicates + 29 == 44
+
+
+def test_generate_with_no_rules_streams_a_repeated_base_word():
+    # with no rules nothing is deduplicated: a WordList's words are distinct
+    # by contract, so a list built with a repeat streams it, as
+    # base_candidates always did (and as generate does under rules, above)
+    wl = WordList(("pass", "Pass", "pass"), (("memory", 3),))
+    records, stats = _records(wl, RuleSet(()), include_base=True)
+    assert records == [(b"pass", "pass", "BASE"), (b"Pass", "Pass", "BASE"),
+                       (b"pass", "pass", "BASE")]
+    assert list(base_candidates(wl)) == records
+    assert (stats.by_arity["base"], stats.suppressed_duplicates) == (3, 0)
 
 
 @pytest.mark.parametrize("dedup", [True, False])
