@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Collection, Iterable, Iterator
 
@@ -120,18 +121,19 @@ def load_wordlists(inputs: Iterable[tuple[str, str | bytes]]) -> WordList:
 
     Per-source raw counts are taken before dedup. Lines come from read_lines;
     trailing CRs are stripped, blank lines are skipped, and any other
-    whitespace is kept verbatim.
+    whitespace is kept verbatim. Each source takes only bulk passes, each one
+    loop in C: the CR strip (only when the source holds a CR), the count of
+    non-blank lines, and one dict update; the blank word is dropped at the end.
     """
     words: dict[str, None] = {}  # insertion-ordered set: first occurrence wins
     sources: list[tuple[str, int]] = []
     for name, data in inputs:
-        count = 0
-        for line in read_lines(name, data):
-            word = line.rstrip("\r")
-            if word:
-                count += 1
-                words[word] = None
-        sources.append((name, count))
+        lines = read_lines(name, data)
+        if ("\r" if isinstance(data, str) else b"\r") in data:
+            lines = list(map(str.rstrip, lines, repeat("\r")))
+        sources.append((name, len(lines) - lines.count("")))
+        words.update(zip(lines, repeat(None)))
+    words.pop("", None)
     return WordList(tuple(words), tuple(sources))
 
 

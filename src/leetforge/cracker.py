@@ -13,6 +13,7 @@ measured slower than this single loop at every count.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import threading
 import time
@@ -149,13 +150,12 @@ def load_hashes(text: str | bytes, algorithm: str = "md5") -> HashStore:
     width = digest_size(algorithm)
     lines = read_lines("digest list", text)
     hexes = list(filter(None, map(str.strip, lines)))
-    # Bulk passes only; when one fails, _bad_line_error walks the lines to name it.
-    if set(map(len, hexes)) <= {2 * width}:
-        try:
-            return HashStore(map(bytes.fromhex, hexes), algorithm, raw_count=len(hexes))
-        except (ValueError, HashStoreError):   # not hex; whitespace inside a digest
-            pass
-    raise _bad_line_error(lines, width)
+    # Bulk passes only: a2b_hex refuses whitespace, odd lengths and non-hex, and
+    # HashStore any other width; then _bad_line_error walks the lines to name one.
+    try:
+        return HashStore(map(binascii.a2b_hex, hexes), algorithm, raw_count=len(hexes))
+    except (ValueError, HashStoreError):
+        raise _bad_line_error(lines, width) from None
 
 
 def _bad_line_error(lines: list[str], width: int) -> HashFormatError:

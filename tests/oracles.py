@@ -137,6 +137,38 @@ def audit_reference(password, rules, words):
     return sorted(found, key=lambda f: (f[1], f[0]))
 
 
+def load_wordlists_reference(inputs):
+    """(words, sources) of load_wordlists, by the per-line loop it once ran.
+
+    Each source is split at newlines before decoding and each line is decoded
+    on its own, so a decode error names the first line holding invalid UTF-8;
+    a leading BOM is dropped. Per line: strip trailing CRs, skip the line if
+    that leaves it blank, else count it and keep its first occurrence across
+    sources. An invalid source raises WordlistDecodeError.
+    """
+    from leetforge.errors import WordlistDecodeError
+
+    words = {}
+    sources = []
+    for name, data in inputs:
+        count = 0
+        for lineno, line in enumerate(data.split(b"\n" if isinstance(data, bytes) else "\n"), 1):
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise WordlistDecodeError(name, lineno) from None
+            if lineno == 1 and line.startswith("\ufeff"):
+                line = line[1:]
+            word = line.rstrip("\r")
+            if word:
+                count += 1
+                if word not in words:
+                    words[word] = None
+        sources.append((name, count))
+    return tuple(words), tuple(sources)
+
+
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _DIGEST_WIDTHS = {"md5": 16, "sha1": 20, "sha256": 32}
 

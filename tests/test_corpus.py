@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import codecs
+import random
 
 import pytest
 
 from leetforge import WordList, WordlistDecodeError, load_wordlists
+from oracles import load_wordlists_reference
 
 
 def test_raw_counts_per_source():
@@ -45,6 +47,54 @@ def test_leading_bom_is_dropped():
     # line numbers count from the start of the input, BOM included
     with pytest.raises(WordlistDecodeError, match=r"b, line 2"):
         load_wordlists([("b", codecs.BOM_UTF8 + b"fine\n\xff\n")])
+
+
+# Words that share a pool, so sources overlap and repeat: inner CRs and
+# whitespace are part of a word, trailing CRs are not.
+_WORD_POOL = ["cat", "Cat", "a\rb", "\rlead", "pass word", "  padded", "caf\u00e9",
+              "\U0001f600", "\ufeffinner", "x\ty", "\u3000", "a", "b", "tail\r\rx"]
+_LINE_ENDS = ["", "", "\r", "\r\r", "\r\r\r"]
+
+
+def _random_source(rng):
+    """Text for one source: pool words with CR endings, blank and CR-only lines,
+    or the same with no CR at all."""
+    lines = []
+    for _ in range(rng.randint(0, 25)):
+        roll = rng.random()
+        if roll < 0.15:
+            lines.append("")
+        elif roll < 0.3:
+            lines.append("\r" * rng.randint(1, 3))
+        else:
+            lines.append(rng.choice(_WORD_POOL) + rng.choice(_LINE_ENDS))
+    text = "\n".join(lines) + rng.choice(["", "\n", "\r\n", "\r"])
+    if rng.random() < 0.4:   # the loader strips CRs only from a source that holds one
+        text = text.replace("\r", "")
+    return rng.choice(["", "", "\ufeff"]) + text
+
+
+def _load_outcome(load, inputs):
+    try:
+        wl = load(inputs)
+    except WordlistDecodeError as exc:
+        return "WordlistDecodeError", exc.source, exc.line
+    return (wl.words, wl.sources) if isinstance(wl, WordList) else wl
+
+
+def test_load_matches_reference():
+    rng = random.Random("load_wordlists")
+    for _ in range(400):
+        inputs = []
+        for i in range(rng.randint(0, 4)):
+            text = _random_source(rng)
+            data = text.encode("utf-8") if rng.random() < 0.5 else text
+            if isinstance(data, bytes) and rng.random() < 0.1:
+                at = rng.randrange(len(data) + 1)
+                data = data[:at] + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80"]) + data[at:]
+            inputs.append((f"s{i}", data))
+        expected = _load_outcome(load_wordlists_reference, inputs)
+        assert _load_outcome(load_wordlists, inputs) == expected
 
 
 def test_loading_is_idempotent():

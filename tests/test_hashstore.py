@@ -67,6 +67,17 @@ def test_load_rejects_whitespace_inside_a_digest(ws):
     assert str(exc.value) == f"line 3: whitespace inside the digest: {line!r}"
 
 
+def test_load_rejects_a_long_line_that_skipped_whitespace_would_fit():
+    # bytes.fromhex would skip the space and decode this line to exactly 16
+    # bytes; it is 33 characters long, so it is refused by its length
+    line = "0011 " + "2233445566778899aabbccddeeff"
+    assert len(line) == 33 and len(bytes.fromhex(line)) == 16
+    with pytest.raises(HashFormatError) as exc:
+        load_hashes(f"{H_CAT}\n{line}\n{H_DOG}\n")
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: expected 32 hex characters, got 33: {line!r}"
+
+
 _ODD_WHITESPACE = [" ", "\t", "\x0b", "\x0c", "\u2028", "\u3000"]
 
 
