@@ -121,9 +121,7 @@ def load_wordlists(inputs: Iterable[tuple[str, str | bytes]]) -> WordList:
 
     Per-source raw counts are taken before dedup. Lines come from read_lines;
     trailing CRs are stripped, blank lines are skipped, and any other
-    whitespace is kept verbatim. Each source takes only bulk passes, each one
-    loop in C: the CR strip (only when the source holds a CR), the count of
-    non-blank lines, and one dict update; the blank word is dropped at the end.
+    whitespace is kept verbatim. Each step is one bulk pass in C per source.
     """
     words: dict[str, None] = {}  # insertion-ordered set: first occurrence wins
     sources: list[tuple[str, int]] = []

@@ -150,8 +150,7 @@ def load_hashes(text: str | bytes, algorithm: str = "md5") -> HashStore:
     width = digest_size(algorithm)
     lines = read_lines("digest list", text)
     hexes = list(filter(None, map(str.strip, lines)))
-    # Bulk passes only: a2b_hex refuses whitespace, odd lengths and non-hex, and
-    # HashStore any other width; then _bad_line_error walks the lines to name one.
+    # Bulk passes: a2b_hex refuses all but pairs of hex digits, HashStore other widths.
     try:
         return HashStore(map(binascii.a2b_hex, hexes), algorithm, raw_count=len(hexes))
     except (ValueError, HashStoreError):
