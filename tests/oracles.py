@@ -138,7 +138,7 @@ def audit_reference(password, rules, words):
 
 
 def load_wordlists_reference(inputs):
-    """(words, sources) of load_wordlists, by the per-line loop it once ran.
+    """(words, sources) of load_wordlists, by a loop over each line in Python.
 
     Each source is split at newlines before decoding and each line is decoded
     on its own, so a decode error names the first line holding invalid UTF-8;
