@@ -186,6 +186,45 @@ def test_gen_files_match_reference_on_non_ascii_rules(capsys, tmp_path):
         f"{c}\t{base}\t{rule_id}\n" for c, base, rule_id in records).encode("utf-8")
 
 
+@pytest.mark.parametrize("n_words", [0, 1, cli._WRITE_BATCH - 1, cli._WRITE_BATCH,
+                                     cli._WRITE_BATCH + 1, 2 * cli._WRITE_BATCH + 1])
+def test_gen_outputs_are_the_records_one_per_line_at_batch_boundaries(capsys, tmp_path,
+                                                                      n_words):
+    words = [f"pass{i}" for i in range(n_words)]
+    word_file = tmp_path / "words.txt"
+    word_file.write_text("".join(w + "\n" for w in words))
+    records = list(leetforge.generate(leetforge.WordList.from_words(words), leetforge.RuleSet(()),
+                                      include_base=True))
+    assert len(records) == n_words
+    want_out = b"".join(c + b"\n" for c, _, _ in records)
+    want_prov = b"".join(b"%s\t%s\t%s\n" % (c, base.encode(), rule_id.encode())
+                         for c, base, rule_id in records)
+    out_file, prov_file = tmp_path / "cands.txt", tmp_path / "prov.tsv"
+    argv = ("gen", "-w", word_file, "-r", "none", "--include-base", "--provenance", prov_file)
+    assert run_cli(capsys, *argv, "-o", out_file) == (
+        0, "", f"emitted {n_words} candidates (0 duplicates suppressed)\n")
+    assert out_file.read_bytes() == want_out
+    assert prov_file.read_bytes() == want_prov
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.encode()) == (0, want_out)
+    assert prov_file.read_bytes() == want_prov
+
+
+def test_gen_files_match_reference_over_several_batches(capsys, tmp_path):
+    words = [f"{stem}{i}" for i in range(90) for stem in ("password", "Dragon", "secret")]
+    word_file = tmp_path / "words.txt"
+    word_file.write_text("".join(w + "\n" for w in words))
+    out_file, prov_file = tmp_path / "cands.txt", tmp_path / "prov.tsv"
+    code, out, _ = run_cli(capsys, "gen", "-w", word_file, "--include-base",
+                           "-o", out_file, "--provenance", prov_file)
+    assert (code, out) == (0, "")
+    records, _ = generate_reference(words, leetforge.builtin_rules(), include_base=True)
+    assert len(records) > 3 * cli._WRITE_BATCH
+    assert out_file.read_text() == "".join(f"{c}\n" for c, _, _ in records)
+    assert prov_file.read_text() == "".join(
+        f"{c}\t{base}\t{rule_id}\n" for c, base, rule_id in records)
+
+
 @pytest.mark.parametrize("first,second", [("-o", "--provenance"), ("-o", "--stats-json"),
                                           ("--provenance", "--stats-json")])
 def test_gen_refuses_two_outputs_to_one_file(capsys, tmp_path, wordfile, first, second):
@@ -208,13 +247,15 @@ def test_gen_stdout_output_does_not_clash_with_a_file_named_dash(capsys, monkeyp
 
 def test_gen_provenance_refuses_word_with_tab(capsys, tmp_path):
     words = tmp_path / "words.txt"
-    words.write_text("password\npass\tword\n")
+    words.write_text("password\npass\tword\ndrag\ton\n")
     out_file, prov_file = tmp_path / "cands.txt", tmp_path / "prov.tsv"
     code, out, err = run_cli(capsys, "gen", "-w", words, "-o", out_file,
                              "--provenance", prov_file)
     assert code == 2
     assert out == ""
-    assert "'pass\\tword'" in err
+    # the message names the first word that holds a TAB
+    assert err == ("leetforge: error: word 'pass\\tword' contains a TAB, "
+                   "which --provenance uses as its field separator\n")
     assert not out_file.exists() and not prov_file.exists()
     # without --provenance the word is an ordinary candidate
     code, out, _ = run_cli(capsys, "gen", "-w", words, "--include-base")
