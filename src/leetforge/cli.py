@@ -60,13 +60,15 @@ def _file_key(path: str) -> tuple[int, int] | str:
 
 
 def _check_outputs(args, *outputs: tuple[str, str | None]) -> None:
-    """Refuse the first (flag, path) output that is a directory, is in a
-    directory that does not exist, or is one file with an input (--hashes,
-    a -w, a -r file) or with an earlier output.
+    """Refuse the first (flag, path) output that is empty, is a directory,
+    is in a directory that does not exist, or is one file with an input
+    (--hashes, a -w, a -r file) or with an earlier output. None is an
+    output not asked for.
 
-    A directory or a missing one would fail the write only after all the
-    work, writing an input would replace it, and two handles writing one file
-    would tear its lines.
+    An empty path (an unset shell variable) would be skipped as if not
+    given, a directory or a missing one would fail the write only after all
+    the work, writing an input would replace it, and two handles writing one
+    file would tear its lines.
     """
     inputs = [("--hashes", getattr(args, "hashes", None))]
     inputs += [("-w", path) for path in args.wordlist]
@@ -74,6 +76,8 @@ def _check_outputs(args, *outputs: tuple[str, str | None]) -> None:
         inputs.append(("-r", args.rules))
     flags = {_file_key(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
+        if path == "":
+            raise _Refused(f"{flag}: the path is empty")
         if path:
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):

@@ -21,7 +21,7 @@ from leetforge import (WordList, apply_rule, audit, builtin_rules,
 from leetforge.rules import export_hashcat
 from oracles import generate_reference, md5_reference, simulate_hashcat_line
 from synthetic import planted_corpus
-from test_cli import cli_env
+from test_cli import BIG_WORDS, PAIR, WIDE_RULES, WIDE_WORDS, cli_env
 
 RS = builtin_rules()
 
@@ -248,7 +248,12 @@ def test_hashcat_export_equivalence():
 
 
 def test_determinism(tmp_path):
-    """gen, crack and detect write byte-identical output under two string hash seeds."""
+    """gen, crack and detect write byte-identical output under two string hash seeds.
+
+    So do gen's records over the pair pass and p@ss, which share one dedup
+    set; over the builtin rules plus X and Y, where wasp and quake dedup in a
+    per-word set; and over 3,000 words, written in many batches.
+    """
     start = time.perf_counter()
     words, hash_text, _, _ = planted_corpus(3000, 300, 300)
     # case variants, shared mangles and non-ASCII words give dedup work to do
@@ -264,6 +269,11 @@ def test_determinism(tmp_path):
     passwords = "".join(pw + "\n" for pw in
                         ["p4ss", "P4SS", "A0", "b0", "p@$$", "p@ssw0rd", "PA$$WORD",
                          "$tr@\u00dfe", "caf\u00e9", "4bc", words[0], "0" + words[1][1:]])
+    pair, wide, wide_rules, big = (tmp_path / name for name in
+                                   ("pair.txt", "wide.txt", "wide.rules", "big.txt"))
+    for path, text in ((pair, PAIR), (wide, WIDE_WORDS), (wide_rules, WIDE_RULES),
+                       (big, BIG_WORDS)):
+        path.write_text(text)
     runs = []
     for seed in ("1", "2"):
         out = tmp_path / f"seed{seed}"
@@ -272,6 +282,12 @@ def test_determinism(tmp_path):
         stdout = []
         for argv, stdin in ((["gen", "-w", wordlist, "--include-base",
                               "--provenance", out / "prov.tsv"], None),
+                            (["gen", "-w", pair, "--include-base",
+                              "--provenance", out / "pair.tsv"], None),
+                            (["gen", "-w", wide, "-r", wide_rules, "--include-base",
+                              "--provenance", out / "wide.tsv"], None),
+                            (["gen", "-w", big, "--include-base",
+                              "--provenance", out / "big.tsv"], None),
                             (["crack", "--hashes", hashes, "-w", wordlist,
                               "--potfile", out / "out.pot"], None),
                             (["detect", "--dict", wordlist, "-r", rules, "--stdin"],
@@ -280,12 +296,12 @@ def test_determinism(tmp_path):
                                   env=env, input=stdin, capture_output=True, check=True)
             stdout.append(proc.stdout)
         files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-        assert set(files) == {"prov.tsv", "out.pot"}
+        assert set(files) == {"prov.tsv", "out.pot", "pair.tsv", "wide.tsv", "big.tsv"}
         runs.append((stdout, files))
     assert runs[0] == runs[1]
     potfile = runs[0][1]["out.pot"].decode("utf-8").splitlines()
     assert len(potfile) == 601   # 300 plain + 300 mangled plants + p@ssw0rd
-    detected = [json.loads(line) for line in runs[0][0][2].decode("utf-8").splitlines()]
+    detected = [json.loads(line) for line in runs[0][0][-1].decode("utf-8").splitlines()]
     assert len(detected) == 12
     assert {"base_word": "pAss", "rule_id": "cs"} in detected[0]["findings"]
     assert {"base_word": "ao", "rule_id": "chain"} in detected[2]["findings"]

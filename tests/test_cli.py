@@ -30,6 +30,39 @@ def wordfile(tmp_path):
     return p
 
 
+# Hand-made inputs, also run under two hash seeds by test_determinism: the
+# pair pass and p@ss, which share a fold key; the builtin rules plus X and Y,
+# which share a>@ with S5, and words for them; 3,000 words, many of gen's
+# write batches.
+PAIR = "pass\np@ss\n"
+WIDE_RULES = (leetforge.serialize_rules(leetforge.builtin_rules())
+              + "X\ta>@,q>9,w>8\nY\ta>@,j>7,k>6\n")
+WIDE_WORDS = "jaqk\nJaqk\nwasp\nquake\n"
+BIG_WORDS = "".join(f"pass{i}\n" for i in range(1, 3001))
+P_AT_SS_MD5 = hashlib.md5(b"p@ss").hexdigest()
+
+
+@pytest.fixture
+def pass_files(tmp_path):
+    """w.txt holding pass, pair.txt holding PAIR, h.txt holding the MD5 of p@ss."""
+    for name, text in (("w.txt", "pass\n"), ("pair.txt", PAIR), ("h.txt", P_AT_SS_MD5 + "\n")):
+        (tmp_path / name).write_text(text)
+    return tmp_path / "w.txt", tmp_path / "pair.txt", tmp_path / "h.txt"
+
+
+def gen_stats(path):
+    """emitted, suppressed_duplicates and by_arity from a gen --stats-json file."""
+    doc = json.loads(path.read_text())
+    return doc["emitted"], doc["suppressed_duplicates"], doc["by_arity"]
+
+
+def crack_matches(out):
+    """attempted and each match's (plaintext, base_word, rule_id) from crack --json."""
+    doc = json.loads(out)
+    return doc["attempted"], [(m["plaintext"], m["base_word"], m["rule_id"])
+                              for m in doc["matches"]]
+
+
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -278,6 +311,93 @@ def test_gen_into_closed_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+def test_gen_counts_the_builtin_mangles_of_pass(capsys, pass_files):
+    """gen counts the builtin mangles of pass: 14 of its 15 suppressed copies
+    are duals and triads that repeat S5, S36 or S39, and T11 repeats T10."""
+    words, _, _ = pass_files
+    stats, prov = words.parent / "s.json", words.parent / "prov.tsv"
+    assert run_cli(capsys, "gen", "-w", words, "--stats-json", stats)[0] == 0
+    assert gen_stats(stats) == (14, 15, {"base": 0, "single": 13, "dual": 0, "triad": 1})
+    assert run_cli(capsys, "gen", "-w", words, "--no-dedup", "--provenance", prov)[0] == 0
+    first, repeats = {}, {}
+    for line in prov.read_text().splitlines():
+        candidate, base, rule_id = line.split("\t")
+        assert base == "pass"
+        if candidate in first:
+            repeats[rule_id] = first[candidate]
+        else:
+            first[candidate] = rule_id
+    assert (len(first), len(repeats)) == (14, 15)
+    assert repeats == {**dict.fromkeys(["D1", "D2", "D3", "D4", "T1", "T2", "T3", "T4", "T5"],
+                                       "S5"),
+                       "T8": "S39", "T9": "S39", "T11": "T10",
+                       "T13": "S36", "T14": "S36", "T15": "S36"}
+
+
+def test_gen_counts_what_a_pair_sharing_a_fold_key_emits_and_suppresses(capsys, pass_files):
+    """pass and p@ss share a fold key and so one dedup set: gen counts what
+    the pair emits and suppresses."""
+    _, pair, _ = pass_files
+    stats = pair.parent / "pair.json"
+    assert run_cli(capsys, "gen", "-w", pair, "--include-base", "--stats-json", stats)[0] == 0
+    assert gen_stats(stats) == (22, 24, {"base": 2, "single": 19, "dual": 0, "triad": 1})
+
+
+def test_gen_opens_with_the_base_words_under_rules_as_under_none(capsys, pass_files):
+    """gen under the builtin rules opens with the two lines gen -r none
+    writes for the pair, since one loop streams the base words with or
+    without rules."""
+    _, pair, _ = pass_files
+    code, out, _ = run_cli(capsys, "gen", "-w", pair, "--include-base")
+    assert (code, out.splitlines()[:2]) == (0, PAIR.splitlines())
+
+
+def test_gen_dedups_in_a_per_word_set_where_a_block_leaves_a_witness_out(capsys, tmp_path):
+    """The builtin rules plus X and Y, which share a>@ with S5, cut into
+    blocks whose last two leave a witness out, so wasp and quake, whose fold
+    keys are their own, dedup in a per-word set there: gen equals --no-dedup
+    with repeats dropped."""
+    words, rules, stats = tmp_path / "wide.txt", tmp_path / "wide.rules", tmp_path / "wide.json"
+    words.write_text(WIDE_WORDS)
+    rules.write_text(WIDE_RULES)
+    argv = ("gen", "-w", words, "-r", rules, "--include-base")
+    code, out, _ = run_cli(capsys, *argv, "--stats-json", stats)
+    _, every, _ = run_cli(capsys, *argv, "--no-dedup")
+    assert (code, out) == (0, "".join(f"{c}\n" for c in dict.fromkeys(every.splitlines())))
+    assert gen_stats(stats) == (44, 54, {"base": 4, "single": 32, "dual": 1, "triad": 7})
+
+
+def test_gen_writes_3000_words_alike_to_every_output(capsys, tmp_path):
+    """gen writes its records in batches; over 3,000 words (many batches) the
+    candidates in the provenance file equal the -o file, stdout equals it
+    too, and it has one line per emitted record."""
+    words = tmp_path / "big.txt"
+    words.write_text(BIG_WORDS)
+    out_file, prov, stats = tmp_path / "big.out", tmp_path / "big.tsv", tmp_path / "big.json"
+    assert run_cli(capsys, "gen", "-w", words, "--include-base", "-o", out_file,
+                   "--provenance", prov, "--stats-json", stats)[:2] == (0, "")
+    candidates = out_file.read_text()
+    assert "".join(line.split("\t")[0] + "\n"
+                   for line in prov.read_text().splitlines()) == candidates
+    assert run_cli(capsys, "gen", "-w", words, "--include-base")[:2] == (0, candidates)
+    assert candidates.count("\n") == gen_stats(stats)[0]
+
+
+def test_crack_prints_the_mangle_it_recovers(capsys, pass_files):
+    """crack prints the mangle it recovers."""
+    words, _, hashes = pass_files
+    assert run_cli(capsys, "crack", "--hashes", hashes, "-w", words)[:2] == (
+        0, f"{P_AT_SS_MD5}:p@ss\n")
+
+
+def test_crack_over_the_pair_matches_its_base_word_once(capsys, pass_files):
+    """crack over the pair attempts the 22 candidates gen emits and matches
+    p@ss once, as the base word (the mangle of pass repeats it)."""
+    _, pair, hashes = pass_files
+    code, out, _ = run_cli(capsys, "crack", "--hashes", hashes, "-w", pair, "--json")
+    assert (code, *crack_matches(out)) == (0, 22, [("p@ss", "p@ss", "BASE")])
+
+
 def test_crack_end_to_end(capsys, tmp_path, wordfile):
     hashes = tmp_path / "hashes.txt"
     target = hashlib.md5(b"p@ssw0rd").hexdigest()
@@ -402,6 +522,7 @@ def test_crack_rules_none_ignores_strict_multi_and_no_dedup(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["crack", "bench"])
 def test_crack_rules_none_patterns_only_is_usage_error(capsys, tmp_path, wordfile, command):
+    """crack and bench refuse --patterns-only with no rules (exit 1)."""
     hashes = tmp_path / "hashes.txt"
     hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n")
     pot = tmp_path / "out.pot"
@@ -420,13 +541,17 @@ def test_crack_malformed_hashes_is_input_error(capsys, tmp_path, wordfile):
 
 
 def test_crack_digest_with_inner_whitespace_is_input_error(capsys, tmp_path, wordfile):
+    """crack refuses (exit 2, nothing on stdout) a 33-character digest line
+    that skipping its space would decode to 16 bytes."""
     hashes = tmp_path / "hashes.txt"
-    hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n"
-                      "0011 2233445566778899aabbccdd ee\n")
-    code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile)
-    assert code == 2
-    assert out == ""
-    assert "line 2: whitespace inside the digest" in err
+    for line, message in [("0011 2233445566778899aabbccdd ee", "whitespace inside the digest"),
+                          ("0011 2233445566778899aabbccddeeff",
+                           "expected 32 hex characters, got 33")]:
+        hashes.write_text(hashlib.md5(b"dragon").hexdigest() + "\n" + line + "\n")
+        code, out, err = run_cli(capsys, "crack", "--hashes", hashes, "-w", wordfile)
+        assert code == 2
+        assert out == ""
+        assert f"line 2: {message}" in err
 
 
 def test_crack_help_names_rules_none(capsys):
@@ -454,6 +579,21 @@ def test_rules_none_is_an_empty_rule_set_in_every_command(capsys, monkeypatch, t
     doc = json.loads(out)
     assert (doc["baseline_recovered"], doc["pattern_recovered"]) == (1, 1)
     assert doc["uplift_percent"] == "0.0"
+
+
+def test_rules_none_streams_the_pairs_two_base_words(capsys, pass_files):
+    """With -r none crack, gen and bench stream the pair's two base words,
+    dedup nothing and recover p@ss as the base word."""
+    _, pair, hashes = pass_files
+    code, out, _ = run_cli(capsys, "crack", "--hashes", hashes, "-w", pair, "-r", "none", "--json")
+    assert (code, *crack_matches(out)) == (0, 2, [("p@ss", "p@ss", "BASE")])
+    stats = pair.parent / "none-gen.json"
+    assert run_cli(capsys, "gen", "-w", pair, "-r", "none", "--include-base",
+                   "--stats-json", stats)[:2] == (0, PAIR)
+    assert gen_stats(stats) == (2, 0, {"base": 2, "single": 0, "dual": 0, "triad": 0})
+    code, out, _ = run_cli(capsys, "bench", "-w", pair, "--hashes", hashes, "-r", "none")
+    doc = json.loads(out)
+    assert (code, doc["baseline_recovered"], doc["pattern_recovered"]) == (0, 1, 1)
 
 
 def test_rules_none_does_not_read_a_file_called_none(capsys, monkeypatch, tmp_path):
@@ -505,7 +645,54 @@ def test_detect_emits_jsonl(capsys, wordfile):
     assert docs[1]["is_pattern_based"] is False
 
 
+def test_detect_traces_the_mangle_back_to_its_word_and_rule(capsys, pass_files):
+    """detect traces the mangle back to its word and rule."""
+    words, _, _ = pass_files
+    code, out, _ = run_cli(capsys, "detect", "--dict", words, "-p", "p@ss")
+    [doc] = map(json.loads, out.splitlines())
+    assert (code, doc["is_pattern_based"]) == (0, True)
+    assert {"base_word": "pass", "rule_id": "S5"} in doc["findings"]
+
+
+def test_detect_keeps_the_passwords_case_in_the_base(capsys, monkeypatch, pass_files):
+    """detect keeps the password's case in the base: P@SS -> PaSS."""
+    words, _, _ = pass_files
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p@ss\nP@SS\n")))
+    code, out, _ = run_cli(capsys, "detect", "--dict", words, "--stdin")
+    [_, doc] = map(json.loads, out.splitlines())
+    assert code == 0
+    assert {"base_word": "PaSS", "rule_id": "S5"} in doc["findings"]
+
+
+@pytest.mark.parametrize("rule,word,password,base", [
+    ("A>4", "pass", "p4ss", "pAss"),
+    ("a>A,A>b,o>0", "ao", "A0", "ao"),
+], ids=["cs", "chained-cs"])
+def test_detect_searches_the_base_of_a_cs_rule(capsys, tmp_path, rule, word, password, base):
+    """For the cs rule A>4, detect searches the base p4ss -> pAss and, for
+    the chained cs rule a>A,A>b,o>0, whose A stops the shared base Ao (it
+    re-applies to b0), searches A0 -> ao."""
+    rules, words = tmp_path / "cs.rules", tmp_path / "words.txt"
+    rules.write_text(f"X\t{rule}\tcs\n")
+    words.write_text(word + "\n")
+    code, out, _ = run_cli(capsys, "detect", "--dict", words, "-r", rules, "-p", password)
+    [doc] = map(json.loads, out.splitlines())
+    assert (code, doc["findings"]) == (0, [{"base_word": base, "rule_id": "X"}])
+
+
+def test_detect_reapplies_an_ascii_rule_to_a_non_ascii_base(capsys, tmp_path):
+    """detect re-applies the ASCII rule a>@ to the UTF-8 bytes of a
+    non-ASCII base (c@fé -> café)."""
+    words = tmp_path / "cafe.txt"
+    words.write_text("caf\u00e9\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "detect", "--dict", words, "-p", "c@f\u00e9")
+    [doc] = map(json.loads, out.splitlines())
+    assert code == 0
+    assert {"base_word": "caf\u00e9", "rule_id": "S5"} in doc["findings"]
+
+
 def test_detect_without_passwords_is_usage_error(capsys, wordfile):
+    """detect refuses a run with no passwords (exit 1, nothing on stdout)."""
     assert run_cli(capsys, "detect", "--dict", wordfile) == refusal(
         "detect", "no passwords given (use --password or --stdin)")
 
@@ -685,6 +872,21 @@ def test_stats_table_and_json(capsys, tmp_path):
     assert doc["sources"][0] == {"name": str(a), "words": 2}
 
 
+@pytest.mark.parametrize("data,counts", [
+    (b"pass\n", (1, 1, 1)),
+    (b"pass\r\np@ss\r\r\na\rb\n\r\npass\n\n", (4, 4, 3)),
+], ids=["word", "carriage-returns"])
+def test_stats_counts_the_words(capsys, tmp_path, data, counts):
+    r"""stats counts the word, and strips trailing CRs (CRLF, a doubled CR, a
+    CR-only line) but keeps an inner one (a\rb is its own word)."""
+    words = tmp_path / "words.txt"
+    words.write_bytes(data)
+    code, out, _ = run_cli(capsys, "stats", "-w", words, "--json")
+    doc = json.loads(out)
+    assert (code, (doc["sources"][0]["words"], doc["raw_total"], doc["unique_words"])) == (
+        0, counts)
+
+
 def test_same_named_word_lists_keep_their_paths(capsys, tmp_path):
     a = tmp_path / "a" / "words.txt"
     b = tmp_path / "b" / "words.txt"
@@ -724,6 +926,14 @@ def test_bench_end_to_end(capsys, tmp_path):
     assert "threads" not in doc["options"]
     assert json.loads(report_file.read_text()) == doc
     assert "uplift" in err
+
+
+def test_bench_finds_the_mangle_only_in_the_pattern_phase(capsys, pass_files):
+    """bench finds the mangle crack recovers only in the pattern phase."""
+    words, _, hashes = pass_files
+    code, out, _ = run_cli(capsys, "bench", "-w", words, "--hashes", hashes)
+    doc = json.loads(out)
+    assert (code, doc["baseline_recovered"], doc["pattern_recovered"]) == (0, 0, 1)
 
 
 def test_bench_potfile_holds_the_pattern_phase(capsys, tmp_path):
@@ -860,9 +1070,14 @@ _OUTPUT_IDS = ["gen-output", "gen-provenance", "gen-stats-json", "crack-potfile"
       for argv in _OUTPUTS],
     *[(argv + [path], f"{argv[-1]} {path} is a directory")
       for argv in _OUTPUTS for path in ("adir", ".")],
-], ids=[*_OUTPUT_IDS, *(f"{i}-is-{name}" for i in _OUTPUT_IDS for name in ("adir", "dot"))])
+    *[(argv + [""], f"{argv[-1]}: the path is empty") for argv in _OUTPUTS],
+], ids=[*_OUTPUT_IDS, *(f"{i}-is-{name}" for i in _OUTPUT_IDS for name in ("adir", "dot")),
+        *(f"{i}-is-empty" for i in _OUTPUT_IDS)])
 def test_output_in_a_missing_directory_is_refused_before_any_work(capsys, monkeypatch,
                                                                    tmp_path, argv, message):
+    """crack refuses a potfile that is a directory (exit 1, nothing on
+    stdout), as every command refuses an output it could not write. An
+    empty path (an unset shell variable) is refused too, not skipped."""
     # the inputs do not exist: a check made after reading them would exit 2
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
