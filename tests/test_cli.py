@@ -40,6 +40,9 @@ WIDE_RULES = (leetforge.serialize_rules(leetforge.builtin_rules())
 WIDE_WORDS = "jaqk\nJaqk\nwasp\nquake\n"
 BIG_WORDS = "".join(f"pass{i}\n" for i in range(1, 3001))
 P_AT_SS_MD5 = hashlib.md5(b"p@ss").hexdigest()
+# 25 rules that all share a>@, so that their blocks leave witnesses out
+SHARED_RULES = "".join(f"R{i}\ta>@,{c}>{i % 10}\n"
+                       for i, c in enumerate("bcdefghijklmnopqrstuvwxyz"))
 
 
 @pytest.fixture
@@ -353,18 +356,27 @@ def test_gen_opens_with_the_base_words_under_rules_as_under_none(capsys, pass_fi
 
 
 def test_gen_dedups_in_a_per_word_set_where_a_block_leaves_a_witness_out(capsys, tmp_path):
-    """The builtin rules plus X and Y, which share a>@ with S5, cut into
-    blocks whose last two leave a witness out, so wasp and quake, whose fold
-    keys are their own, dedup in a per-word set there: gen equals --no-dedup
-    with repeats dropped."""
-    words, rules, stats = tmp_path / "wide.txt", tmp_path / "wide.rules", tmp_path / "wide.json"
-    words.write_text(WIDE_WORDS)
-    rules.write_text(WIDE_RULES)
-    argv = ("gen", "-w", words, "-r", rules, "--include-base")
-    code, out, _ = run_cli(capsys, *argv, "--stats-json", stats)
-    _, every, _ = run_cli(capsys, *argv, "--no-dedup")
-    assert (code, out) == (0, "".join(f"{c}\n" for c in dict.fromkeys(every.splitlines())))
-    assert gen_stats(stats) == (44, 54, {"base": 4, "single": 32, "dual": 1, "triad": 7})
+    """Where blocks leave a witness out, gen equals --no-dedup with repeats
+    dropped. SHARED_RULES over ?a, whose fold key is its own: R1-R24 each
+    repeat R0's ?@; the plans count 22 of these copies, and ?a's per-word
+    set catches the 2 whose witness their block left out. The builtin rules
+    plus X and Y over WIDE_WORDS leave witnesses out too, but their one set
+    hit is Jaqk's Y mangle 7@q6, in the set that jaqk and Jaqk share by fold
+    key; the per-word sets of wasp and quake catch nothing."""
+    cases = (("shared", "?a\n", SHARED_RULES,
+              (2, 24, {"base": 1, "single": 0, "dual": 1, "triad": 0})),
+             ("wide", WIDE_WORDS, WIDE_RULES,
+              (44, 54, {"base": 4, "single": 32, "dual": 1, "triad": 7})))
+    for name, word_text, rule_text, counts in cases:
+        words, rules, stats = (tmp_path / f"{name}.txt", tmp_path / f"{name}.rules",
+                               tmp_path / f"{name}.json")
+        words.write_text(word_text)
+        rules.write_text(rule_text)
+        argv = ("gen", "-w", words, "-r", rules, "--include-base")
+        code, out, _ = run_cli(capsys, *argv, "--stats-json", stats)
+        _, every, _ = run_cli(capsys, *argv, "--no-dedup")
+        assert (code, out) == (0, "".join(f"{c}\n" for c in dict.fromkeys(every.splitlines())))
+        assert gen_stats(stats) == counts
 
 
 def test_gen_writes_3000_words_alike_to_every_output(capsys, tmp_path):

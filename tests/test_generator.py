@@ -502,6 +502,21 @@ def test_generate_plans_are_exact_within_a_word():
     assert with_set > 120 and without_set > 30
 
 
+def test_builtin_rules_cut_into_three_blocks_that_need_no_dedup_set():
+    # 16 character classes (a and A are one); blocks S1-S22, S23-S43 and
+    # D1-T15 of at most 8 classes each, and every witness fits, so no block
+    # needs a dedup set: the last holds the 12 singles its duals and triads copy
+    bits = _class_bits(RS)
+    assert len(set(bits.values())) == 16 and bits["a"] == bits["A"]
+    cut = []
+    for plans, mask, needs_set in _plan_blocks(RS, bits, False, True):
+        assert mask.bit_count() <= 8
+        ids = [record[0] for _, record in plans.entries if record is not None]
+        witnesses = sum(record is None for _, record in plans.entries)
+        cut.append((ids[0], ids[-1], witnesses, needs_set))
+    assert cut == [("S1", "S22", 0, False), ("S23", "S43", 0, False), ("D1", "T15", 12, False)]
+
+
 def test_generate_rules_sharing_one_pair_keep_blocks_of_8_classes():
     # Every rule shares a>@ with all earlier ones, so from R7 on a rule's
     # witnesses claim more than 8 classes. The blocks are cut on the rules'
