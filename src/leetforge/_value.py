@@ -3,7 +3,9 @@ them, without importing dataclasses (which loads inspect, ast, dis, tokenize
 and copy, about half the package's import time).
 
 Each subclass names its fields, in constructor order, in _fields and writes
-its own __init__; a Frozen one sets them with object.__setattr__.
+its own __init__; a Frozen one sets them with object.__setattr__ or, on a hot
+path (DetectionResult, built once per audited password), by writing its
+instance __dict__.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -20,19 +20,21 @@ class DetectionResult(Frozen):
     _fields = ("password", "findings")
 
     def __init__(self, password: str, findings: tuple[Finding, ...]):
-        object.__setattr__(self, "password", password)
-        object.__setattr__(self, "findings", findings)
+        fields = self.__dict__   # written directly, as functools.cached_property does
+        fields["password"] = password
+        fields["findings"] = findings
 
     @property
     def is_pattern_based(self) -> bool:
         return bool(self.findings)
 
     def to_dict(self) -> dict:
+        findings = self.findings
         return {
             "password": self.password,
-            "findings": [{"base_word": f.base_word, "rule_id": f.rule_id}
-                         for f in self.findings],
-            "is_pattern_based": self.is_pattern_based,
+            "findings": [{"base_word": base_word, "rule_id": rule_id}
+                         for base_word, rule_id in findings],
+            "is_pattern_based": bool(findings),
         }
 
 
@@ -47,13 +49,16 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     by_need table: those that turn every differing character of the word
     into the password's. When there are any, one shared base is built for
     the word: the word's character where the casefolds differ, the
-    password's elsewhere. A rule takes it when the password holds none of
-    its stop characters. Every other try (a cs rule such as A>4, a chained
-    one such as a>A,A>b, a word differing from the password only in case or
-    not lining up with it) goes to _search_base, if the password holds one
-    of the rule's replacement characters and none of its blocking
-    characters. A base counts only when re-applying the rule reproduces the
-    password: through the rule's byte_table on the password's UTF-8 bytes
+    password's elsewhere, and encoded once. A rule takes it when the
+    password holds none of its stop characters. A word equal to the
+    password's casefold tries only the rules by_pair holds under the
+    password's own pairs, and none when the password holds no character in
+    _inverse's starts. Every other try (a cs rule such as A>4, a chained one
+    such as a>A,A>b, a word differing from the password only in case or not
+    lining up with it) goes to _search_base, if the password holds one of
+    the rule's replacement characters and none of its blocking characters.
+    A base counts only when re-applying the rule reproduces the password:
+    through the rule's byte_table on the password's UTF-8 bytes
     (surrogatepass) when it has one, through str.translate otherwise.
     Findings come in rule order, then dictionary order.
 
@@ -68,50 +73,59 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
     if bucket is None:
         return []
     chars = set(password)
-    rules, by_pair, by_need = _inverse(rs)
-    tries = []   # (rule index, word, the shared base or None to search)
-    for word in (bucket,) if isinstance(bucket, str) else bucket:
+    rules, by_pair, by_need, starts = _inverse(rs)
+    encoded = password.encode("utf-8", "surrogatepass")
+    words = (bucket,) if isinstance(bucket, str) else bucket
+    findings, order = [], []   # order: each finding's rule index, for a list bucket
+    for word in words:
+        merged = None
         if len(word) == len(password) == len(folded):
-            need = {c + d for c, e, d in zip(password, folded, word) if e != d}
-            if need:
-                entry = by_need.get(frozenset(need))
+            if word == folded:
+                # the base differs only in case, by a character the rule changes
+                if chars.isdisjoint(starts):
+                    continue
+                ids = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
+                entry = zip(sorted(ids), repeat(None))
+            else:
+                need = frozenset([c + d for c, e, d in zip(password, folded, word) if e != d])
+                entry = by_need.get(need)
                 if entry is None:
                     continue
                 # the word's character where the casefolds differ, the password's elsewhere
                 merged = "".join([d if e != d else c for c, e, d in zip(password, folded, word)])
                 if merged == word:
                     merged = word   # share the dictionary's string
-                tries += [(i, word, merged if chars.isdisjoint(stops) else None)
-                          for i, stops in entry]
-                continue
-            # the base differs only in case, by a character the rule changes
-            ids = set().union(*[by_pair.get(c + e, ()) for c, e in zip(password, folded)])
+                merged_bytes = merged.encode("utf-8", "surrogatepass")
         else:
-            ids = range(len(rules))
-        tries += [(i, word, None) for i in ids]
-    tries.sort(key=itemgetter(0))
-    encoded = password.encode("utf-8", "surrogatepass")
-    findings = []
-    for i, word, base in tries:
-        rule_id, translation, table, replacements, blocking, preimages = rules[i]
-        if base is None:
-            if chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
+            entry = zip(range(len(rules)), repeat(None))
+        for i, stops in entry:
+            rule_id, translation, table, replacements, blocking, preimages = rules[i]
+            if merged is not None and chars.isdisjoint(stops):
+                base, base_bytes = merged, merged_bytes
+            elif chars.isdisjoint(replacements) or not chars.isdisjoint(blocking):
                 continue
-            base = _search_base(password, word, preimages)
-            if base is None:
-                continue
-        if table is None:
-            reproduced = base.translate(translation) == password
-        else:   # ASCII pairs: one pass over the UTF-8 bytes, as generate applies them
-            reproduced = base.encode("utf-8", "surrogatepass").translate(table) == encoded
-        if reproduced and base != password:   # apply_rule(base, rule) == password
-            findings.append(Finding(base, rule_id))
+            else:
+                base = _search_base(password, word, preimages)
+                if base is None:
+                    continue
+                base_bytes = None if table is None else base.encode("utf-8", "surrogatepass")
+            if table is None:
+                reproduced = base.translate(translation) == password
+            else:   # ASCII pairs: one pass over the UTF-8 bytes, as generate applies them
+                reproduced = base_bytes.translate(table) == encoded
+            if reproduced and base != password:   # apply_rule(base, rule) == password
+                findings.append(Finding(base, rule_id))
+                order.append(i)
+    if len(words) > 1 and len(findings) > 1:
+        ranked = sorted(zip(order, findings), key=itemgetter(0))
+        findings = [finding for _, finding in ranked]
     return findings
 
 
 def _inverse(rs: RuleSet) -> tuple[tuple[tuple, ...], dict[str, frozenset[int]],
-                                   dict[frozenset[str], tuple[tuple[int, frozenset[str]], ...]]]:
-    """(rules, by_pair, by_need): deleet's tables for rs, built on the first
+                                   dict[frozenset[str], tuple[tuple[int, frozenset[str]], ...]],
+                                   frozenset[str]]:
+    """(rules, by_pair, by_need, starts): deleet's tables for rs, built on the first
     call and kept in rs.__dict__, where functools.cached_property keeps its
     values; ==, hash and repr read only the fields. Threads racing on the
     first call may each build them; the results are equal.
@@ -130,6 +144,8 @@ def _inverse(rs: RuleSet) -> tuple[tuple[tuple, ...], dict[str, frozenset[int]],
     by_pair maps c + f to the indexes of the rules that turn a character
     other than c whose casefold is f into c: where a base casefolding to f
     stands under c in the password, only these rules can have made it.
+    starts holds the first character of each by_pair key: a password holding
+    none of them has no base that differs from it only in case.
 
     by_need maps a need, a non-empty set of by_pair keys, to the rules under
     every key of the need, in rule order, as (index, stop characters). When
@@ -177,7 +193,8 @@ def _inverse(rs: RuleSet) -> tuple[tuple[tuple, ...], dict[str, frozenset[int]],
                     ids = sorted(set.intersection(*[by_pair[q] for q in need]))
                     by_need[need] = tuple((i, stops[i] if need <= plain[i] else rules[i][3])
                                           for i in ids)
-    tables = (tuple(rules), {q: frozenset(ids) for q, ids in by_pair.items()}, by_need)
+    tables = (tuple(rules), {q: frozenset(ids) for q, ids in by_pair.items()}, by_need,
+              frozenset(q[0] for q in by_pair))
     rs.__dict__["_inverse"] = tables
     return tables
 
@@ -230,5 +247,6 @@ def audit(password: str, rs: RuleSet, dictionary: WordList) -> DetectionResult:
     findings = deleet(password, rs, dictionary)
     if dictionary.contains_casefold(password):
         findings.append(Finding(password, BASE_RULE_ID))
-    findings.sort(key=itemgetter(1, 0))
+    if len(findings) > 1:
+        findings.sort(key=itemgetter(1, 0))
     return DetectionResult(password, tuple(findings))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import string
 import sys
@@ -47,6 +48,14 @@ def test_deleet_at_most_one_finding_per_rule():
     assert len(ids) == len(set(ids))
     assert len(findings) <= len(RS)
     assert ("password", "D1") in findings
+
+
+def test_deleet_orders_a_shared_bucket_by_rule_then_word():
+    # ba and ab share a fold key, so one bucket holds both, in dictionary order
+    rs = parse_rules("P\ta>1,b>1\nQ\ta>1,b>1,c>2\n")
+    dictionary = WordList.from_words(["ba", "ab"])
+    assert dictionary.fold_index(rs.fold) == {"11": ["ba", "ab"]}
+    assert deleet("11", rs, dictionary) == [("ba", "P"), ("ab", "P"), ("ba", "Q"), ("ab", "Q")]
 
 
 def test_deleet_reconstructs_lowercase_sources():
@@ -139,6 +148,71 @@ def test_deleet_and_audit_match_unscreened_reference():
         assert _audit_as_reference(pw, RS, [base]) >= 1
 
 
+def _case_only(pw, findings):
+    """The findings, BASE aside, whose base differs from pw only in case."""
+    return [f for f in findings if f[1] != "BASE" and f[0].casefold() == pw.casefold()]
+
+
+def test_audit_case_only_words_match_reference():
+    # A bucket word equal to the password's casefold skips the need table:
+    # only rules under the password's own by_pair keys can have made it, and
+    # none when the password holds no character that starts a key. Each set
+    # has a rule whose key starts with a character these passwords hold.
+    rng = random.Random(37)
+    sets = [parse_rules("fold\tA>a\n"), parse_rules("X\ta>A,A>b,o>0\tcs\n"),
+            parse_rules("T\t\u01c5>\u01c6\tcs\nS\ts>$\n"), RS]
+    words = ["ab", "Ab", "boa", "ao", "BOB", "cab", "\u01c6a", "\u01c5ob", "pass", "a0b"]
+    words += ["".join(rng.choices("abo\u01c6AB", k=rng.randint(1, 5))) for _ in range(30)]
+    dictionary = WordList.from_words(words)
+    case_only = 0
+    for rs in sets:
+        starts = detector._inverse(rs)[3]
+        assert starts and any(set(word) & starts for word in words)
+        for word in words:
+            for pw in dict.fromkeys([word, word.upper(), word.title(), word.swapcase()]):
+                _audit_as_reference(pw, rs, words)
+                case_only += len(_case_only(pw, audit(pw, rs, dictionary).findings))
+    assert case_only > 50
+    assert deleet("AB", sets[0], WordList.from_words(["ab"])) == []
+    assert deleet("ab", sets[0], WordList.from_words(["AB"])) == [("Ab", "fold")]
+    assert deleet("\u01c6a", sets[2], WordList.from_words(["\u01c6A"])) == [("\u01c5a", "T")]
+
+
+def test_audit_matches_reference_on_a_mixed_stream():
+    # passwords shaped like perfbench's audit-mixed stream: mangles, bases that
+    # already hold a replacement, verbatim words, case changes, runs of 1 and
+    # of 10@3!$, and random strings; under the builtin rules and random sets
+    rng = random.Random(38)
+    found = case_only = 0
+    for rs in [RS] + [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(50)]:
+        if rs is RS:
+            letters = string.ascii_lowercase
+            words = ["".join(rng.choices(letters, k=rng.randint(4, 7)))
+                     + (str(rng.randint(0, 99)) if i % 4 == 3 else "") for i in range(40)]
+        else:
+            letters = sorted({c for r in rs for p in r.pairs
+                              for c in (p.source, p.source.swapcase(), p.replacement)} | {"x"})
+            words = ["".join(rng.choices(letters, k=rng.randint(1, 5))) for _ in range(12)]
+        symbols = "".join(letters) + string.digits + "!@#$%&*?"
+        stream = []
+        for word in words:
+            rule = rs[rng.randrange(len(rs))]
+            stream.append(apply_rule(case_noise(rng, word), rule))
+            replacements = {p.replacement for p in rule.pairs}
+            if set(word) & replacements:
+                stream.append(apply_rule(word, rule))
+            stream += [word, word.upper(), word.title(), case_noise(rng, word)]
+        for _ in range(len(words) // 4):
+            stream.append("1" * rng.randint(3, 7))
+            stream.append("".join(rng.choices("10@3!$", k=rng.randint(3, 6))))
+            stream.append("".join(rng.choices(symbols, k=rng.randint(3, 8))))
+        dictionary = WordList.from_words(words)
+        for pw in filter(None, stream):
+            found += _audit_as_reference(pw, rs, words)
+            case_only += len(_case_only(pw, audit(pw, rs, dictionary).findings))
+    assert found > 1500 and case_only > 20
+
+
 def _plain(preimages, pair):
     """True when the first preimage of pair's character with pair's casefold is that casefold."""
     c, f = pair[0], pair[1:]
@@ -151,7 +225,8 @@ def test_need_table_is_bounded_by_the_rule_set():
     assert len(detector._inverse(RS)[2]) == 81
     searched = 0
     for rs in [RS] + [random_custom_rules(rng, rng.randint(1, 6)) for _ in range(300)]:
-        rules, by_pair, table = detector._inverse(rs)
+        rules, by_pair, table, starts = detector._inverse(rs)
+        assert starts == {q[0] for q in by_pair}
         own = [{q for q, ids in by_pair.items() if i in ids} for i in range(len(rs))]
         assert len(table) <= sum(2 ** len(pairs) - 1 for pairs in own)
         for need, entry in table.items():
@@ -213,7 +288,7 @@ def test_rule_screen_spares_search_where_casefold_changes_length(monkeypatch):
 def test_builtin_mangles_take_the_shared_base(monkeypatch):
     # Every builtin rule may take the shared base wherever a word lines up, so
     # auditing their mangles of lowercase words never runs _search_base.
-    rules, _, by_need = detector._inverse(RS)
+    rules, _, by_need, _ = detector._inverse(RS)
     for entry in by_need.values():
         assert entry and all(stops == rules[i][4] for i, stops in entry)
     calls = []
@@ -451,3 +526,24 @@ def test_detection_result_json_shape():
     assert doc["password"] == "p@ss"
     assert doc["is_pattern_based"] is True
     assert {"base_word": "pass", "rule_id": "S5"} in doc["findings"]
+    # json.dumps of to_dict is byte-identical to the dict built field by field,
+    # over 0, 1 and many findings and non-ASCII, astral and lone-surrogate text
+    rng = random.Random(39)
+    words = ["pass", "password", "caf\u00e9", "\U0001f600s", "\ud800ss", "\u00e9t\u00e9"]
+    dictionary = WordList.from_words(words)
+    passwords = ["xk9qv2", "", "p@ss", "PASSWORD", "p@ssw0rd", "c@f\u00e9", "\U0001f6005",
+                 "\ud800$$", "\u00e9t\u00e9", '"\\\n\x00']
+    passwords += [apply_rule(rng.choice(words), RS[rng.randrange(len(RS))]) or rng.choice(words)
+                  for _ in range(200)]
+    sizes = set()
+    for pw in passwords:
+        result = audit(pw, RS, dictionary)
+        assert result == detector.DetectionResult(pw, result.findings)
+        assert vars(result) == {"password": pw, "findings": result.findings}
+        want = {"password": result.password,
+                "findings": [{"base_word": f.base_word, "rule_id": f.rule_id}
+                             for f in result.findings],
+                "is_pattern_based": result.is_pattern_based}
+        assert json.dumps(result.to_dict()) == json.dumps(want)
+        sizes.add(min(len(result.findings), 2))
+    assert sizes == {0, 1, 2}
