@@ -98,7 +98,7 @@ def deleet(password: str, rs: RuleSet, dictionary: WordList) -> list[Finding]:
                 merged_bytes = merged.encode("utf-8", "surrogatepass")
         else:
             entry = zip(range(len(rules)), repeat(None))
-        for i, stops in entry:
+        for i, stops in entry:   # stops is read only where a shared base was built
             rule_id, translation, table, replacements, blocking, preimages = rules[i]
             if merged is not None and chars.isdisjoint(stops):
                 base, base_bytes = merged, merged_bytes
