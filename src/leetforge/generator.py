@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Any, Callable, Collection, Iterator
 
 from ._value import Value
@@ -102,13 +102,12 @@ def _dedup_sets(words: tuple[str, ...], fold: dict[int, int | None],
     include_base each set starts with its key's words. The keys are dropped
     on return, so each set lives only as long as the list's entries."""
     keys = _fold_keys(words, fold)
-    counts = Counter(keys)
-    sets: defaultdict[str, set[bytes]] = defaultdict(set)
+    sets: dict[str, set[bytes]] = {key: set() for key, n in Counter(keys).items() if n > 1}
     if include_base:
         for word, key in zip(words, keys):
-            if counts[key] > 1:
+            if key in sets:
                 sets[key].add(word.encode("utf-8", "surrogatepass"))
-    return [sets[key] if counts[key] > 1 else None for key in keys]
+    return list(map(sets.get, keys))
 
 
 # A block of consecutive rules and its witnesses (see _plan_blocks) claim at
@@ -155,11 +154,15 @@ def _class_bits(rs: RuleSet) -> dict[str, int]:
     Characters share a class when every rule treats them alike: the same
     pair of the same rules (so the same replacement), and each maps to
     itself under the same rules (under E>e, e maps to itself and E does not).
+    Classes are numbered in the order their first character is claimed: by
+    rule, then pair, then code point (A before a). So the numbers, and the
+    block masks and plan keys built on them, are the same under every
+    string hash seed.
     """
     signatures: dict[str, list] = {}
     for i, rule in enumerate(rs):
         for j, p in enumerate(rule.pairs):
-            for ch in _claimed(p, rule.case_insensitive):
+            for ch in sorted(_claimed(p, rule.case_insensitive)):
                 signatures.setdefault(ch, []).append((i, j, ch == p.replacement))
     ids: dict[tuple, int] = {}
     return {ch: 1 << ids.setdefault(tuple(sig), len(ids)) for ch, sig in signatures.items()}
@@ -181,6 +184,12 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
     where they fit in _BLOCK_CLASSES; a witness that does not fit is left
     out. The set is needed in each block that misses a witness, and in each
     block that holds one, for the set must have its outputs.
+
+    The blocks are cut in a walk from the first rule to the last, and their
+    witnesses found in a second walk from the last block to the first: a
+    witness lies before the blocks it serves, so by the time the walk
+    reaches a block, every block that could leave out one of its rules has
+    had its turn.
     """
     # per rule: (claimed classes, changed classes, (class, replacement) for
     # each changed class, claimed classes per pair when strict_multi applies)
@@ -199,45 +208,39 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
         facts.append((sum(pair_masks), sum(changes), tuple(sorted(changes.items())),
                       tuple(pair_masks) if strict else ()))
     compiled = [(r.id, r.arity, r.byte_table, r.translation) for r in rs]
-    # per rule, the earlier rules that share a change with it
-    twins: list[set[int]] = []
-    by_change: dict[tuple[int, str], list[int]] = {}
-    for i, (_, _, changes, _) in enumerate(facts):
-        twins.append({j for c in changes for j in by_change.get(c, ())} if dedup else set())
-        for c in changes:
-            by_change.setdefault(c, []).append(i)
 
+    # the rules that make each change, in rule-set order
+    by_change: dict[tuple[int, str], list[int]] = {}
     cuts = []
     start = mask = 0
-    for i, (claim, *_) in enumerate(facts):
+    for i, (claim, _, changes, _) in enumerate(facts):
         if (mask | claim).bit_count() > _BLOCK_CLASSES:
             cuts.append((start, i, mask))
             start, mask = i, 0
         mask |= claim
+        for c in changes:
+            by_change.setdefault(c, []).append(i)
     if facts:
         cuts.append((start, len(facts), mask))
 
-    found = []
+    blocks = []
     left_out: set[int] = set()
-    for start, stop, mask in cuts:
-        outer = sorted({j for i in range(start, stop) for j in twins[i] if j < start})
-        inside = []
+    for start, stop, mask in reversed(cuts):
+        outer = sorted({j for i in range(start, stop) for c in facts[i][2]
+                        for j in by_change[c] if j < start}) if dedup else []
+        entries = []
         for j in outer:
             if (mask | facts[j][0]).bit_count() <= _BLOCK_CLASSES:
                 mask |= facts[j][0]
-                inside.append(j)
+                entries.append((facts[j], None))
             else:
                 left_out.add(j)
-        found.append((start, stop, mask, inside, len(inside) < len(outer)))
-
-    blocks = []
-    for start, stop, mask, inside, missing in found:
-        entries = [(facts[j], None) for j in inside]
-        entries += [(facts[i], compiled[i]) for i in range(start, stop)]
         # the set holds the outputs of a left-out witness, for the copies a
         # block that misses it cannot prove
-        needs_set = missing or not left_out.isdisjoint(range(start, stop))
+        needs_set = len(entries) < len(outer) or not left_out.isdisjoint(range(start, stop))
+        entries += [(facts[i], compiled[i]) for i in range(start, stop)]
         blocks.append((_Plans(entries, dedup), mask, needs_set))
+    blocks.reverse()
     return blocks
 
 

@@ -858,6 +858,21 @@ def test_export_rules_native_roundtrip(capsys, tmp_path):
     assert out2 == out
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("C\ta>b,b>a\n", "rule 'C': pairs a>b,b>a chain into a cycle; no token order replays them"),
+    ("E\t\u00e9>e\n", "rule 'E': character '\u00e9' has no hashcat token form"),
+], ids=["cycle", "non-ascii"])
+def test_export_rules_refuses_what_hashcat_cannot_replay(capsys, tmp_path, bad, message):
+    # a cycle or a character outside printable ASCII fails the whole export
+    # with exit 2, so no line of it is written; the native format keeps both
+    rules = tmp_path / "bad.rules"
+    rules.write_bytes(("S5\ta>@\n" + bad).encode("utf-8"))
+    assert run_cli(capsys, "export-rules", "-r", rules) == (2, "", f"leetforge: error: {message}\n")
+    code, out, err = run_cli(capsys, "export-rules", "-r", rules, "--format", "native")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == rules.read_bytes()
+
+
 def test_rule_file_with_line_separator_chars_replays_byte_for_byte(capsys, tmp_path):
     # str.splitlines breaks a line at each of these; a rule file line ends at \n only
     seps = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import random
 import string
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from leetforge import (BASE_RULE_ID, CharPair, GenStats, ReplacementRule, RuleSet,
                        WordList, apply_rule, base_candidates, builtin_rules, generate,
-                       parse_rules)
+                       parse_rules, serialize_rules)
 from leetforge import generator
 from leetforge.generator import _class_bits, _plan_blocks
 from oracles import generate_reference, mangle_reference
 from synthetic import random_custom_rules
+from test_cli import SHARED_RULES, WIDE_RULES, cli_env
 
 RS = builtin_rules()
 
@@ -537,6 +541,47 @@ def test_generate_rules_sharing_one_pair_keep_blocks_of_8_classes():
     # no plan to prove it
     records, _ = _records(WordList.from_words(["?a"]), rs)
     assert records == [(b"?@", "?a", "R0")]
+
+
+# Prints, as ASCII, the setup tables of generate and deleet for each rule
+# file text in the JSON list on stdin, with every set and dict sorted.
+_DUMP_TABLES = """
+import json, sys
+from leetforge import parse_rules
+from leetforge.detector import _inverse
+from leetforge.generator import _class_bits, _plan_blocks
+
+def canon(x):
+    if isinstance(x, (set, frozenset, dict)):
+        return sorted(map(canon, x.items() if isinstance(x, dict) else x), key=repr)
+    if isinstance(x, (tuple, list)):
+        return [canon(v) for v in x]
+    return x
+
+for text in json.load(sys.stdin):
+    rs = parse_rules(text)
+    bits = _class_bits(rs)
+    blocks = [(mask, needs_set, [(facts, record and record[0]) for facts, record in plans.entries])
+              for plans, mask, needs_set in _plan_blocks(rs, bits, False, True)]
+    print(ascii(canon([bits, blocks, rs.fold, _inverse(rs)])))
+"""
+
+
+def test_setup_tables_do_not_depend_on_the_string_hash_seed():
+    # Class numbers follow the order rules claim characters, not set order,
+    # which differs between hash seeds: under U E>e, L e>3 it would swap the
+    # bits of E and e, and with them every mask and plan key.
+    texts = [serialize_rules(RS), WIDE_RULES, SHARED_RULES, "U\tE>e\nL\te>3\n",
+             "fold\tA>a\nX\ta>A,A>b,o>0\tcs\n"]
+    dumps = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", _DUMP_TABLES], input=json.dumps(texts),
+                              capture_output=True, text=True, timeout=60,
+                              env={**cli_env(), "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        dumps.append(proc.stdout)
+    assert len(dumps[0].splitlines()) == len(texts)
+    assert dumps[0] == dumps[1]
 
 
 def test_empty_wordlist_generates_nothing():
