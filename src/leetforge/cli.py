@@ -50,8 +50,8 @@ class _Refused(Exception):
 
 
 def _file_key(path: str) -> tuple[int, int] | str:
-    """(device, inode) of a path that exists, so a hard link matches its
-    target; the real path of one that does not exist yet."""
+    """(device, inode) of a path that exists, so two paths to one file
+    match; the real path of one that does not exist yet."""
     try:
         st = os.stat(path)
     except OSError:

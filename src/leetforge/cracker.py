@@ -3,12 +3,12 @@
 
 The matcher hashes each candidate once, in stream order, on the calling
 thread, so counts, first-wins recovery and the final match list depend only
-on the candidate stream. A stream from generate that nobody has iterated yet
-(base_candidates, the base words alone, is one) is hashed inside the
-generator's own loop, right after each candidate's dedup check, and hands
-the matcher only its hits; any other input is hashed here record by record.
-CPython holds the GIL while hashing inputs under 2 KiB, so worker threads
-measured slower than this single loop at every count.
+on the candidate stream. A stream from generate whose loop has not started
+(base_candidates, the base words alone, is one) starts it with the store's
+digest set: the loop hashes each candidate right after its dedup check and
+hands the matcher only its hits. Any other input is hashed here record by
+record. CPython holds the GIL while hashing inputs under 2 KiB, so worker
+threads measured slower than this single loop at every count.
 """
 
 from __future__ import annotations
@@ -120,13 +120,21 @@ class HashStore:
         return digest in self._digests
 
     def mark_recovered(self, digest: bytes, plaintext: str | bytes) -> bool:
-        """Record digest -> plaintext, decoding bytes; True only on a digest's first recovery."""
+        """Record digest -> plaintext; True only on a digest's first recovery.
+
+        A bytes plaintext is decoded as UTF-8, lone surrogates included
+        ("surrogatepass"), as a CandidateRecord's candidate is; other bytes
+        raise HashStoreError.
+        """
         if digest not in self:
             raise HashStoreError(f"digest {digest.hex()} is not in the store")
         if digest_of(plaintext, self.algorithm) != digest:
             raise HashStoreError(f"plaintext {plaintext!r} does not hash to {digest.hex()}")
         if isinstance(plaintext, bytes):
-            plaintext = plaintext.decode("utf-8", "surrogatepass")
+            try:
+                plaintext = plaintext.decode("utf-8", "surrogatepass")
+            except UnicodeDecodeError:
+                raise HashStoreError(f"plaintext {plaintext!r} is not UTF-8") from None
         return self._record(digest, plaintext)
 
     def _record(self, digest: bytes, plaintext: str) -> bool:
@@ -232,17 +240,18 @@ def crack(hs: HashStore, candidates: Iterable[CandidateRecord],
     """Hash every candidate once, in stream order, and match it against the store.
 
     Candidates are hashed as bytes and only hits are decoded. A CandidateStream
-    from generate that has not been iterated yet hashes its candidates in the
-    generator's loop, after the dedup check, and yields crack only the hits,
-    each with its digest; attempted is then the stream's stats.emitted, the
-    number of records it would have yielded. base_candidates and generate
-    with no rules give such a stream of the base words. Any other input (a
-    list, a stream already started, or a proxy that wraps one) is iterated
-    and hashed here record by record, and attempted counts the records. Hits
-    are recorded as mark_recovered records them (atomic, first plaintext wins),
-    without hashing them again; recovered_new counts only digests newly
-    recovered by this call. Matches come back sorted by digest. threads and
-    chunk_bytes have no effect: matching always runs on the calling thread.
+    from generate whose loop has not started starts it with the store's digest
+    set and hash constructor: the loop hashes each candidate after the dedup
+    check and yields crack only the hits, each with its digest; attempted is
+    then the stream's stats.emitted, the number of records it would have
+    yielded. base_candidates and generate with no rules give such a stream of
+    the base words. Any other input (a list, a stream already started, or a
+    proxy that wraps one) is iterated and hashed here record by record, and
+    attempted counts the records. Hits are recorded as mark_recovered records
+    them (atomic, first plaintext wins), without hashing them again;
+    recovered_new counts only digests newly recovered by this call. Matches
+    come back sorted by digest. threads and chunk_bytes have no effect:
+    matching always runs on the calling thread.
     perfbench/workloads.py is their only user, so they go when it stops passing them.
     """
     if algorithm is None:

@@ -22,7 +22,7 @@ class RuleParseError(InputFormatError):
 
 
 class ExportError(InputFormatError):
-    """A rule cannot be written in the target rule syntax."""
+    """A rule cannot be written in the requested rule syntax."""
 
 
 class WordlistDecodeError(InputFormatError):

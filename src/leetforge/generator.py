@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Any, Callable, Collection, Iterator
 
 from ._value import Value
@@ -63,35 +64,31 @@ def apply_rule(word: str, rule: ReplacementRule,
 class CandidateStream:
     """Single-use iterator of CandidateRecords; stats are final once exhausted.
 
-    crack takes a stream from generate that nobody has iterated yet through
-    _hits instead: the generator then hashes each candidate after its dedup
-    check and yields only the hits. The stats count every emitted candidate
-    either way.
+    start(digests, hasher) starts generate's loop, and the stream calls it
+    at most once, on first use: with no digest set when it is iterated, or
+    with crack's through _hits, where the loop hashes each candidate after
+    its dedup check and yields only the hits. Whichever comes second gets
+    the loop already started: __iter__ returns it, _hits None. The stats
+    count every emitted candidate either way.
     """
 
-    # generate's empty list, which _hits fills with (digests, hasher) for the
-    # generator to read at its first step; None once the stream is iterated,
-    # and for a stream built by any other caller
-    _target: list | None = None
-
-    def __init__(self, iterator: Iterator[CandidateRecord], stats: GenStats):
-        self._iterator = iterator
+    def __init__(self, start: Callable[..., Iterator[tuple]], stats: GenStats):
+        self._start = start
         self.stats = stats
 
     def __iter__(self) -> Iterator[CandidateRecord]:
-        self._target = None
+        if self._start is not None:
+            self._iterator, self._start = self._start(None, None), None
         return self._iterator
 
     def _hits(self, digests: Collection[bytes],
               hasher: Callable[[bytes], Any]) -> Iterator[tuple[bytes, str, str, bytes]] | None:
-        """The records whose candidate's digest, hasher(candidate).digest(), is
-        in digests, each with that digest after its fields; None where the
-        stream cannot do this, being started already or not from generate."""
-        target = self._target
-        if target is None:
+        """Start the loop with digests: the records whose candidate's digest,
+        hasher(candidate).digest(), is in digests, each with that digest after
+        its fields. None where the loop has started already."""
+        if self._start is None:
             return None
-        target += digests, hasher
-        self._target = None
+        self._iterator, self._start = self._start(digests, hasher), None
         return self._iterator
 
 
@@ -245,7 +242,8 @@ def _plan_blocks(rs: RuleSet, bits: dict[str, int], strict_multi: bool,
 
 
 def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: bool,
-                dedup: bool, stats: GenStats, target: list) -> Iterator[tuple]:
+                dedup: bool, stats: GenStats, digests: Collection[bytes] | None,
+                hasher: Callable[[bytes], Any] | None) -> Iterator[tuple]:
     # Candidates and dedup keys are UTF-8 bytes ("surrogatepass" keeps lone
     # surrogates encodable); the encoding is one-to-one, so it dedups exactly
     # as the strings would, in less memory per entry. Base words stream
@@ -254,10 +252,9 @@ def _candidates(wl: WordList, rs: RuleSet, include_base: bool, strict_multi: boo
     # word's entry, so a key's set is freed once its last word has run its
     # rules. Any other word dedups in no set where its plans prove every
     # copy, and in `own`, cleared for each word, in the blocks they do not.
-    # With a target (see CandidateStream._hits), each candidate that passes
+    # Given digests (see CandidateStream._hits), each candidate that passes
     # dedup is counted and hashed, and yielded with its digest only when the
-    # digest is in the target's set.
-    digests, hasher = target or (None, None)
+    # digest is in the set.
     words = wl.words
     if include_base:
         for word in words:
@@ -350,19 +347,17 @@ def generate(wl: WordList, rs: RuleSet, *, include_base: bool = False,
     built with a repeat streams the repeat's base record, and under rules and
     dedup suppresses its mangles as copies of the first's.
 
-    The stream is single-use. Iterated, it yields every record. crack instead
-    hands a stream it gets before anyone iterated it the store's digest set
-    and hash constructor (CandidateStream._hits); the same loop then hashes
-    each candidate right after its dedup check and yields only the hits, each
-    with its digest, so a miss costs no resume and no tuple. Dedup, the
-    stats and the order of the hits are the same either way.
+    The stream is single-use, and its loop starts once, on first use.
+    Iterated first, it yields every record. Handed to crack first, the loop
+    starts with the store's digest set and hash constructor as arguments
+    (CandidateStream._hits), hashes each candidate right after its dedup
+    check and yields only the hits, each with its digest, so a miss costs no
+    resume and no tuple. Dedup, the stats and the order of the hits are the
+    same either way.
     """
     stats = GenStats()
-    target: list = []
-    stream = CandidateStream(
-        _candidates(wl, rs, include_base, strict_multi, dedup, stats, target), stats)
-    stream._target = target
-    return stream
+    return CandidateStream(
+        partial(_candidates, wl, rs, include_base, strict_multi, dedup, stats), stats)
 
 
 def base_candidates(wl: WordList) -> CandidateStream:

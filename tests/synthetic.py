@@ -1,10 +1,14 @@
 """Deterministic test fixtures: crack/bench corpora with fully known ground
-truth, and seeded random rule sets that stress case folding."""
+truth, seeded random rule sets that stress case folding, hand-made CLI
+inputs, and the environment for running the CLI from this checkout."""
 
 from __future__ import annotations
 
 import hashlib
+import os
+from pathlib import Path
 
+import leetforge
 from leetforge import CharPair, ReplacementRule, RuleSet
 
 # Letters no builtin rule replaces; tails built from them can never mangle.
@@ -64,3 +68,24 @@ def case_noise(rng, word):
     """word with about 30% of its characters case-swapped, where that keeps one character."""
     return "".join(c.swapcase() if rng.random() < 0.3 and len(c.swapcase()) == 1 else c
                    for c in word)
+
+
+# Hand-made inputs, also run under two hash seeds by test_determinism: the
+# pair pass and p@ss, which share a fold key; the builtin rules plus X and Y,
+# which share a>@ with S5, and words for them; 3,000 words, many of gen's
+# write batches.
+PAIR = "pass\np@ss\n"
+WIDE_RULES = (leetforge.serialize_rules(leetforge.builtin_rules())
+              + "X\ta>@,q>9,w>8\nY\ta>@,j>7,k>6\n")
+WIDE_WORDS = "jaqk\nJaqk\nwasp\nquake\n"
+BIG_WORDS = "".join(f"pass{i}\n" for i in range(1, 3001))
+# 25 rules that all share a>@, so that their blocks leave witnesses out
+SHARED_RULES = "".join(f"R{i}\ta>@,{c}>{i % 10}\n"
+                       for i, c in enumerate("bcdefghijklmnopqrstuvwxyz"))
+
+
+def cli_env():
+    """The environment for running `python -m leetforge.cli` from this checkout."""
+    src = str(Path(leetforge.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -20,8 +20,7 @@ from leetforge import (WordList, apply_rule, audit, builtin_rules,
                        crack, generate, load_hashes, run_benchmark, uplift)
 from leetforge.rules import export_hashcat
 from oracles import generate_reference, md5_reference, simulate_hashcat_line
-from synthetic import planted_corpus
-from test_cli import BIG_WORDS, PAIR, WIDE_RULES, WIDE_WORDS, cli_env
+from synthetic import BIG_WORDS, PAIR, WIDE_RULES, WIDE_WORDS, cli_env, planted_corpus
 
 RS = builtin_rules()
 

@@ -20,7 +20,8 @@ from leetforge import cli
 from leetforge.cli import main
 from leetforge.errors import HashStoreError
 from oracles import generate_reference
-from synthetic import planted_corpus
+from synthetic import (BIG_WORDS, PAIR, SHARED_RULES, WIDE_RULES, WIDE_WORDS, cli_env,
+                       planted_corpus)
 
 
 @pytest.fixture
@@ -30,19 +31,7 @@ def wordfile(tmp_path):
     return p
 
 
-# Hand-made inputs, also run under two hash seeds by test_determinism: the
-# pair pass and p@ss, which share a fold key; the builtin rules plus X and Y,
-# which share a>@ with S5, and words for them; 3,000 words, many of gen's
-# write batches.
-PAIR = "pass\np@ss\n"
-WIDE_RULES = (leetforge.serialize_rules(leetforge.builtin_rules())
-              + "X\ta>@,q>9,w>8\nY\ta>@,j>7,k>6\n")
-WIDE_WORDS = "jaqk\nJaqk\nwasp\nquake\n"
-BIG_WORDS = "".join(f"pass{i}\n" for i in range(1, 3001))
 P_AT_SS_MD5 = hashlib.md5(b"p@ss").hexdigest()
-# 25 rules that all share a>@, so that their blocks leave witnesses out
-SHARED_RULES = "".join(f"R{i}\ta>@,{c}>{i % 10}\n"
-                       for i, c in enumerate("bcdefghijklmnopqrstuvwxyz"))
 
 
 @pytest.fixture
@@ -76,13 +65,6 @@ def refusal(command, message):
     """What run_cli returns for a run refused before any work: exit 1,
     nothing on stdout, one stderr line naming the command."""
     return 1, "", f"leetforge {command}: {message}\n"
-
-
-def cli_env():
-    """The environment for running `python -m leetforge.cli` from this checkout."""
-    src = str(Path(leetforge.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_no_command_is_usage_error(capsys):

@@ -306,6 +306,29 @@ def test_crack_over_a_started_stream_hashes_the_rest():
     assert format_potfile(hs) == format_potfile(ref_hs)
 
 
+def test_a_stream_starts_its_loop_once():
+    # taking the iterator starts the plain loop, so crack hashes its records
+    # one by one and starts no second loop; a stream crack took stays spent
+    words, hash_text, _, _ = planted_corpus(200, 40, 40)
+    wl = WordList.from_words(words)
+    md5 = _CONSTRUCTORS["md5"]
+    records = list(generate(wl, RS, include_base=True))
+    want = crack(load_hashes(hash_text), records)
+    stream = generate(wl, RS, include_base=True)
+    it = iter(stream)
+    got = crack(load_hashes(hash_text), stream)
+    assert next(it, None) is None
+    assert got.attempted == stream.stats.emitted == len(records) == want.attempted == 800
+    assert (got.matches, got.recovered_new) == (want.matches, want.recovered_new)
+    assert iter(stream) is it
+    assert stream._hits(frozenset(), md5) is None
+    cracked = generate(wl, RS, include_base=True)
+    assert crack(load_hashes(hash_text), cracked).matches == want.matches
+    assert cracked._hits(frozenset(), md5) is None
+    assert list(cracked) == []
+    assert cracked.stats == stream.stats
+
+
 class _Proxy:
     """Shaped like a timing wrapper: iterates the stream, forwards attributes."""
 

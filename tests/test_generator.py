@@ -19,8 +19,7 @@ from leetforge import (BASE_RULE_ID, CharPair, GenStats, ReplacementRule, RuleSe
 from leetforge import generator
 from leetforge.generator import _class_bits, _plan_blocks
 from oracles import generate_reference, mangle_reference
-from synthetic import random_custom_rules
-from test_cli import SHARED_RULES, WIDE_RULES, cli_env
+from synthetic import SHARED_RULES, WIDE_RULES, cli_env, random_custom_rules
 
 RS = builtin_rules()
 

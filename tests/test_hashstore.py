@@ -217,11 +217,15 @@ def test_mark_recovered_stores_a_bytes_plaintext_decoded():
 
 
 def test_mark_recovered_validates():
-    hs = load_hashes(f"{H_CAT}\n")
+    not_utf8 = hashlib.md5(b"\xff").digest()
+    hs = load_hashes(f"{H_CAT}\n{not_utf8.hex()}\n")
     with pytest.raises(HashStoreError, match="not in the store"):
         hs.mark_recovered(bytes.fromhex(H_DOG), "dog")
     with pytest.raises(HashStoreError, match="does not hash"):
         hs.mark_recovered(bytes.fromhex(H_CAT), "dog")
+    # the plaintext hashes to a stored digest but does not decode
+    with pytest.raises(HashStoreError, match="not UTF-8"):
+        hs.mark_recovered(not_utf8, b"\xff")
     assert len(hs.recovered) == 0
 
 
